@@ -229,20 +229,6 @@ let bench_split_overhead () =
   let out = Rs_util.Pool.map_range pool ~lo:0 ~hi:256 Fun.id in
   out.(255)
 
-let bench_spec_commit () =
-  (* speculation round-trip: spawn an arm (fresh metrics delta + cache
-     transaction), wait for it, merge its buffered effects *)
-  let pool = Lazy.force bench_pool in
-  let s = Rs_util.Pool.spec_spawn pool (fun () -> 1) in
-  Rs_util.Pool.spec_commit pool s
-
-let bench_spec_cancel () =
-  (* the rollback path: spawn then immediately discard *)
-  let pool = Lazy.force bench_pool in
-  let s = Rs_util.Pool.spec_spawn pool (fun () -> 1) in
-  Rs_util.Pool.spec_cancel pool s;
-  0
-
 let kernels : (string * (unit -> int)) list =
   [
     ("table1+2/workload-build", bench_workload_build);
@@ -265,8 +251,6 @@ let kernels : (string * (unit -> int)) list =
     ("runner/parallel-all", bench_parallel_all);
     ("scheduler/steal-latency", bench_steal_latency);
     ("scheduler/split-overhead", bench_split_overhead);
-    ("scheduler/spec-commit", bench_spec_commit);
-    ("scheduler/spec-cancel", bench_spec_cancel);
   ]
 
 (* The sampling budget per kernel, overridable so CI smoke runs can keep
@@ -384,16 +368,9 @@ let run_reproductions () =
 (* Machine-readable results for CI and for committing alongside the
    repo: kernel estimates (ns and minor words per run), the
    trace-replay-vs-stream-generation speedup, and a wall-clock
-   comparison of one real swept experiment (figure5) with trace replay
-   on and off.  Reproductions are skipped — this mode is meant to stay
+   comparison of one real swept experiment (figure5) at jobs 1 and
+   jobs 8.  Reproductions are skipped — this mode is meant to stay
    cheap enough for a CI smoke stage. *)
-
-let time_figure5 ~replay ctx =
-  Rs_experiments.Cache.set_trace_replay replay;
-  Rs_experiments.Cache.reset ();
-  let t0 = Unix.gettimeofday () in
-  let rendered = Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx) in
-  (Unix.gettimeofday () -. t0, rendered)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -421,7 +398,6 @@ let run_json file =
   let scale = getf "RS_SCALE" 0.05 in
   let seed = geti "RS_SEED" 3 in
   let tau = geti "RS_TAU" 10 in
-  let ctx = Rs_experiments.Context.create ~seed ~scale ~tau ~jobs:1 () in
   Printf.eprintf "bench: measuring %d kernels (quota %.2fs each)...\n%!" (List.length kernels)
     (quota_s ());
   let estimates = measure_kernels () in
@@ -434,10 +410,6 @@ let run_json file =
     | Some gen, Some rep when rep > 0.0 -> Some (gen /. rep)
     | _ -> None
   in
-  Printf.eprintf "bench: timing figure5 with and without trace replay...\n%!";
-  let regen_s, regen_out = time_figure5 ~replay:false ctx in
-  let replay_s, replay_out = time_figure5 ~replay:true ctx in
-  Rs_experiments.Cache.set_trace_replay true;
   Printf.eprintf "bench: timing figure5 at jobs 1 vs jobs 8...\n%!";
   let time_figure5_jobs jobs =
     Rs_experiments.Cache.reset ();
@@ -449,7 +421,7 @@ let run_json file =
   let jobs1_s, jobs1_out = time_figure5_jobs 1 in
   let jobs8_s, jobs8_out = time_figure5_jobs 8 in
   (* scheduler counters, read after the jobs-8 sweep so a parallel run's
-     steal/split/speculation activity is on record *)
+     steal/split activity is on record *)
   let pstats = Rs_util.Pool.stats () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
@@ -478,13 +450,6 @@ let run_json file =
   Buffer.add_string buf "  \"experiments\": [\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "    { \"name\": \"figure5\", \"regen_wall_s\": %.3f, \"replay_wall_s\": %.3f, \
-        \"speedup\": %.3f, \"identical_output\": %b },\n"
-       regen_s replay_s
-       (if replay_s > 0.0 then regen_s /. replay_s else 0.0)
-       (String.equal regen_out replay_out));
-  Buffer.add_string buf
-    (Printf.sprintf
        "    { \"name\": \"figure5-jobs\", \"cores\": %d, \"jobs1_wall_s\": %.3f, \
         \"jobs8_wall_s\": %.3f, \"speedup\": %.3f, \"identical_output\": %b }\n"
        (Domain.recommended_domain_count ())
@@ -494,11 +459,10 @@ let run_json file =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"pool\": { \"tasks\": %d, \"steals\": %d, \"splits\": %d, \"spec_started\": %d, \
-        \"spec_committed\": %d, \"spec_cancelled\": %d, \"worker_failures\": %d, \
+       "  \"pool\": { \"tasks\": %d, \"steals\": %d, \"splits\": %d, \"worker_failures\": %d, \
         \"suppressed_failures\": %d }\n"
-       pstats.tasks pstats.steals pstats.splits pstats.spec_started pstats.spec_committed
-       pstats.spec_cancelled pstats.worker_failures pstats.suppressed_failures);
+       pstats.tasks pstats.steals pstats.splits pstats.worker_failures
+       pstats.suppressed_failures);
   Buffer.add_string buf "}\n";
   let oc = open_out file in
   output_string oc (Buffer.contents buf);

@@ -327,10 +327,7 @@ type auto_entry = { a_pop : Population.t; a_cfg : Stream.config; a_trace : t }
 
 let auto_entries : auto_entry option array = Array.make auto_capacity None
 let auto_next = ref 0 (* FIFO cursor, guarded by [lock] *)
-let auto_flag = Atomic.make true
-
-let set_auto b = Atomic.set auto_flag b
-let auto_enabled () = Atomic.get auto_flag && !capacity > 0
+let replay_enabled () = !capacity > 0
 
 let auto_find pop cfg =
   let found = ref None in
@@ -342,7 +339,7 @@ let auto_find pop cfg =
   !found
 
 let auto pop cfg =
-  if not (auto_enabled ()) then None
+  if not (replay_enabled ()) then None
   else begin
     Mutex.lock lock;
     let hit = auto_find pop cfg in

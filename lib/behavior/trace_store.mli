@@ -23,7 +23,8 @@
     stream config.  Capacity defaults to {!default_capacity_mb} MB,
     overridable with [$RS_TRACE_CACHE_MB] or {!set_capacity_bytes}
     (the CLI's [--trace-cache-mb]); a capacity of 0 disables caching
-    (every {!cached} call records afresh).  Lookups feed the
+    (every {!cached} call records afresh) and turns {!replay_enabled}
+    off.  Lookups feed the
     [trace_store.hits] / [.misses] / [.evictions] counters and the
     [trace_store.bytes] / [.entries] gauges of {!Rs_obs.Metrics} and,
     when tracing is on, emit ["trace_store"] {!Rs_obs.Trace} events.
@@ -117,18 +118,15 @@ val packed_delta : int -> int
 
 val auto : Population.t -> Stream.config -> t option
 (** The memoized trace for this (population, config), recording on
-    first sight — or [None] when automatic replay is disabled
-    ({!set_auto} [false], or a zero trace-cache capacity). *)
+    first sight — or [None] when the trace-cache capacity is zero. *)
 
 val auto_capacity : int
 
-val set_auto : bool -> unit
-(** Kill switch for {!auto} (default enabled).  Disabling makes
-    trace-less simulation runs regenerate their stream live — results
-    are identical either way; the switch exists for honest
-    regeneration-vs-replay timing comparisons. *)
-
-val auto_enabled : unit -> bool
+val replay_enabled : unit -> bool
+(** [capacity_bytes () > 0].  A zero capacity is the one switch that
+    turns record-once/replay-many off everywhere: {!auto} and the
+    experiment cache's traces return [None], so every stream regenerates
+    live — results are identical either way. *)
 
 (** {2 The process-global LRU} *)
 

@@ -33,40 +33,20 @@ let incorrect_rate (r : Rs_sim.Engine.result) =
   if r.total_events = 0 then 0.0
   else float_of_int r.incorrect /. float_of_int r.total_events
 
-(* Binary search for the crossing point, with speculative sub-sweep
-   execution: while this level's probe runs, both candidate next probes
-   are spawned as cancellable speculative tasks.  Whichever arm the
-   bisection descends into is committed — publishing its cached engine
-   run, so the recursive [eval] below is a cache hit — and the loser is
-   cancelled, rolling back its buffered cache/metrics effects.  On a
-   [jobs = 1] pool (or with speculation disabled) the arms defer and
-   commit runs the winner inline: exactly the sequential bisection, so
-   results never depend on [--jobs]. *)
-let bisect_headroom pool ~eval ~pass =
-  (* invariant: pass lo && not (pass hi) *)
+(* Binary search for the crossing point over engine runs (each a cached
+   [Cache.run]); invariant: [pass lo && not (pass hi)]. *)
+let bisect_headroom ~eval ~pass =
   let rec bisect lo hi =
     if hi - lo <= 1 then lo
-    else begin
+    else
       let mid = (lo + hi) / 2 in
-      let spawn nxt lo' hi' =
-        if hi' - lo' > 1 then Some (Pool.spec_spawn pool (fun () -> ignore (eval nxt))) else None
-      in
-      let arm_pass = spawn ((mid + hi) / 2) mid hi in
-      let arm_fail = spawn ((lo + mid) / 2) lo mid in
-      let taken, dropped, lo', hi' =
-        if pass (eval mid) then (arm_pass, arm_fail, mid, hi) else (arm_fail, arm_pass, lo, mid)
-      in
-      Option.iter (Pool.spec_cancel pool) dropped;
-      Option.iter (fun s -> Pool.spec_commit pool s) taken;
-      bisect lo' hi'
-    end
+      if pass (eval mid) then bisect mid hi else bisect lo mid
   in
   bisect 0 headroom_cap
 
 let run ctx =
-  let pool = Context.pool ctx in
   let rows =
-    Pool.map_ordered pool
+    Pool.map_ordered (Context.pool ctx)
       (fun (bm : BM.t) ->
         let baseline = Cache.run ctx bm ~input:Ref (Context.params ctx) in
         let open_loop =
@@ -86,7 +66,7 @@ let run ctx =
           (* exponent 0 is the baseline run itself — a cache hit *)
           if not (pass baseline) then None
           else if pass (eval headroom_cap) then Some headroom_cap
-          else Some (bisect_headroom pool ~eval ~pass)
+          else Some (bisect_headroom ~eval ~pass)
         in
         {
           benchmark = bm.name;

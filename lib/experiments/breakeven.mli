@@ -12,12 +12,8 @@
     It also reports the complementary slack: the {e eviction-threshold
     headroom}, i.e. the largest power-of-two scaling of the eviction
     trigger that still keeps misspeculation under 0.1% of dynamic
-    branches.  The crossing point is found by bisection over engine
-    runs, and each bisection level speculatively pre-executes both
-    candidate next probes as cancellable pool tasks
-    ({!Rs_util.Pool.spec_spawn}) — the winner commits its cached run,
-    the loser rolls back, and [--jobs 1] output stays byte-identical
-    because deferred speculation commits inline. *)
+    branches.  The crossing point is found by plain sequential bisection
+    over cached engine runs. *)
 
 type row = {
   benchmark : string;

@@ -46,11 +46,6 @@ type 'v slot = In_flight | Ready of 'v | Failed of exn * int (* attempts consume
 type ('k, 'v) memo = {
   kind : string;
   table : ('k, 'v slot) Hashtbl.t;
-  (* Per-transaction write buffers for speculative tasks, keyed by
-     transaction id (guarded by [lock]).  A speculative computation
-     publishes here instead of [table]; the whole buffer merges into
-     [table] when its task commits and vanishes when it cancels. *)
-  overlays : (int, ('k, 'v slot) Hashtbl.t) Hashtbl.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   m_hits : Rs_obs.Metrics.counter;
@@ -59,21 +54,15 @@ type ('k, 'v) memo = {
 }
 
 (* Every memo registers its clearing thunk so [reset] drops them all —
-   including the private memos the test suite creates.  The transaction
-   handlers below are registered the same way: memos are heterogeneous,
-   so commit/abort/merge walk a list of monomorphic closures instead of
-   a table of memos.  All four lists are guarded by [lock]. *)
+   including the private memos the test suite creates.  Guarded by
+   [lock]. *)
 let resetters : (unit -> unit) list ref = ref []
-let txn_committers : (int -> unit) list ref = ref []
-let txn_aborters : (int -> unit) list ref = ref []
-let txn_mergers : (src:int -> dst:int -> unit) list ref = ref []
 
 let memo kind =
   let m =
     {
       kind;
       table = Hashtbl.create 64;
-      overlays = Hashtbl.create 4;
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       m_hits = Rs_obs.Metrics.counter (Printf.sprintf "cache.%s.hits" kind);
@@ -81,57 +70,13 @@ let memo kind =
       m_retries = Rs_obs.Metrics.counter (Printf.sprintf "cache.%s.retries" kind);
     }
   in
-  let overlay_for id =
-    match Hashtbl.find_opt m.overlays id with
-    | Some ov -> ov
-    | None ->
-      let ov = Hashtbl.create 8 in
-      Hashtbl.add m.overlays id ov;
-      ov
-  in
   Mutex.lock lock;
   resetters :=
     (fun () ->
       Hashtbl.reset m.table;
-      Hashtbl.reset m.overlays;
       Atomic.set m.hits 0;
       Atomic.set m.misses 0)
     :: !resetters;
-  (* Commit publishes each buffered slot unless the global table gained
-     a settled entry for the key meanwhile ("global won" — both sides
-     computed the same pure value, keep the published one).  A leftover
-     [In_flight] marks a computation the task never finished; drop it. *)
-  txn_committers :=
-    (fun id ->
-      match Hashtbl.find_opt m.overlays id with
-      | None -> ()
-      | Some ov ->
-        Hashtbl.remove m.overlays id;
-        Hashtbl.iter
-          (fun key slot ->
-            match slot with
-            | In_flight -> ()
-            | slot -> (
-              match Hashtbl.find_opt m.table key with
-              | Some (Ready _) | Some (Failed _) -> ()
-              | Some In_flight | None -> Hashtbl.replace m.table key slot))
-          ov)
-    :: !txn_committers;
-  txn_aborters := (fun id -> Hashtbl.remove m.overlays id) :: !txn_aborters;
-  txn_mergers :=
-    (fun ~src ~dst ->
-      match Hashtbl.find_opt m.overlays src with
-      | None -> ()
-      | Some ov ->
-        Hashtbl.remove m.overlays src;
-        let dv = overlay_for dst in
-        Hashtbl.iter
-          (fun key slot ->
-            match slot with
-            | In_flight -> ()
-            | slot -> if not (Hashtbl.mem dv key) then Hashtbl.replace dv key slot)
-          ov)
-    :: !txn_mergers;
   Mutex.unlock lock;
   m
 
@@ -182,100 +127,15 @@ let publish m key slot ~gen0 =
   Condition.broadcast published;
   Mutex.unlock lock
 
-(* --- speculative transactions ----------------------------------------
-
-   A transaction isolates the cache writes of one speculative pool task
-   (and everything it fans out to): lookups still read the global
-   tables — published artifacts are immutable, sharing them can never
-   leak speculation — but anything the task {e computes} lands in a
-   per-transaction overlay.  [txn_commit] folds the overlay into the
-   global tables, re-checking the generation counter so a [reset] that
-   raced the speculative work discards it wholesale (the same rollback
-   point every non-speculative publication uses); [txn_abort] just drops
-   the overlay.  The scheduler attaches/detaches the transaction on
-   whichever domain runs a piece of the task, via the DLS stack. *)
-
-type txn = { txn_id : int; txn_gen : int }
-
-let txn_ids = ref 0 (* guarded by [lock] *)
-let txn_key : txn list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let current_txn () = match !(Domain.DLS.get txn_key) with [] -> None | t :: _ -> Some t
-
-let new_txn () =
-  Mutex.lock lock;
-  incr txn_ids;
-  let t = { txn_id = !txn_ids; txn_gen = !generation } in
-  Mutex.unlock lock;
-  t
-
-let txn_attach t =
-  let r = Domain.DLS.get txn_key in
-  r := t :: !r
-
-let txn_detach () =
-  let r = Domain.DLS.get txn_key in
-  match !r with [] -> () | _ :: tl -> r := tl
-
-let txn_commit t =
-  Mutex.lock lock;
-  (match current_txn () with
-  | Some outer when outer.txn_id <> t.txn_id ->
-    (* nested speculation: fold into the enclosing transaction instead
-       of the global tables — it commits or cancels as a whole *)
-    List.iter (fun merge -> merge ~src:t.txn_id ~dst:outer.txn_id) !txn_mergers
-  | _ ->
-    if t.txn_gen = !generation then List.iter (fun commit -> commit t.txn_id) !txn_committers
-    else (* a reset raced the speculative work: drop it *)
-      List.iter (fun abort -> abort t.txn_id) !txn_aborters);
-  Condition.broadcast published;
-  Mutex.unlock lock
-
-let txn_abort t =
-  Mutex.lock lock;
-  List.iter (fun abort -> abort t.txn_id) !txn_aborters;
-  Condition.broadcast published;
-  Mutex.unlock lock
-
-(* Register the transaction machinery as the pool's cache isolator —
-   same wiring style as [fault_hook]: this library sits above rs_util in
-   the dependency graph, so the pool cannot call it directly. *)
-let () =
-  Rs_util.Pool.spec_providers :=
-    (fun () ->
-      let t = new_txn () in
-      {
-        Rs_util.Pool.iso_attach = (fun () -> txn_attach t);
-        iso_detach = (fun () -> txn_detach ());
-        iso_commit = (fun () -> txn_commit t);
-        iso_abort = (fun () -> txn_abort t);
-      })
-    :: !Rs_util.Pool.spec_providers
-
-(* Lookup under an active transaction: global table first (immutable
-   artifacts are safe to share into speculation), then the overlay, and
-   computations publish into the overlay only — no global [In_flight]
-   marker, so a cancelled task can never leave anyone waiting on it. *)
-let find_or_compute_spec m ~bench key f (txn : txn) =
+let find_or_compute m ~bench key f =
   (* [compute] is entered with [lock] held and returns with it released. *)
   let compute ~attempts =
-    (match Hashtbl.find_opt m.overlays txn.txn_id with
-    | Some ov -> Hashtbl.replace ov key In_flight
-    | None ->
-      let ov = Hashtbl.create 8 in
-      Hashtbl.add m.overlays txn.txn_id ov;
-      Hashtbl.replace ov key In_flight);
+    Hashtbl.replace m.table key In_flight;
+    let gen0 = !generation in
     Mutex.unlock lock;
     count_lookup m ~bench ~hit:false;
     let slot = attempt_body m ~bench ~attempts f in
-    Mutex.lock lock;
-    (* if the transaction was aborted (or reset away) meanwhile, the
-       overlay is gone and the result is simply dropped *)
-    (match Hashtbl.find_opt m.overlays txn.txn_id with
-    | Some ov -> Hashtbl.replace ov key slot
-    | None -> ());
-    Condition.broadcast published;
-    Mutex.unlock lock;
+    publish m key slot ~gen0;
     match slot with Ready v -> v | Failed (e, _) -> raise e | In_flight -> assert false
   in
   Mutex.lock lock;
@@ -287,71 +147,17 @@ let find_or_compute_spec m ~bench key f (txn : txn) =
       v
     | Some (Failed (e, attempts)) when attempts >= !limit ->
       Mutex.unlock lock;
+      (* waiters woken on — and later callers finding — an exhausted slot
+         count as misses so the hit/miss totals add up *)
       count_lookup m ~bench ~hit:false;
       raise e
     | Some (Failed (_, attempts)) -> compute ~attempts
     | Some In_flight ->
-      (* a non-speculative computation is in flight: share its result *)
       Condition.wait published lock;
       get ()
-    | None -> (
-      let buffered =
-        match Hashtbl.find_opt m.overlays txn.txn_id with
-        | None -> None
-        | Some ov -> Hashtbl.find_opt ov key
-      in
-      match buffered with
-      | Some (Ready v) ->
-        Mutex.unlock lock;
-        count_lookup m ~bench ~hit:true;
-        v
-      | Some (Failed (e, attempts)) when attempts >= !limit ->
-        Mutex.unlock lock;
-        count_lookup m ~bench ~hit:false;
-        raise e
-      | Some (Failed (_, attempts)) -> compute ~attempts
-      | Some In_flight ->
-        (* another domain of the same task is computing it *)
-        Condition.wait published lock;
-        get ()
-      | None -> compute ~attempts:0)
+    | None -> compute ~attempts:0
   in
   get ()
-
-let find_or_compute m ~bench key f =
-  match current_txn () with
-  | Some txn -> find_or_compute_spec m ~bench key f txn
-  | None ->
-    (* [compute] is entered with [lock] held and returns with it released. *)
-    let compute ~attempts =
-      Hashtbl.replace m.table key In_flight;
-      let gen0 = !generation in
-      Mutex.unlock lock;
-      count_lookup m ~bench ~hit:false;
-      let slot = attempt_body m ~bench ~attempts f in
-      publish m key slot ~gen0;
-      match slot with Ready v -> v | Failed (e, _) -> raise e | In_flight -> assert false
-    in
-    Mutex.lock lock;
-    let rec get () =
-      match Hashtbl.find_opt m.table key with
-      | Some (Ready v) ->
-        Mutex.unlock lock;
-        count_lookup m ~bench ~hit:true;
-        v
-      | Some (Failed (e, attempts)) when attempts >= !limit ->
-        Mutex.unlock lock;
-        (* waiters woken on — and later callers finding — an exhausted slot
-           count as misses so the hit/miss totals add up *)
-        count_lookup m ~bench ~hit:false;
-        raise e
-      | Some (Failed (_, attempts)) -> compute ~attempts
-      | Some In_flight ->
-        Condition.wait published lock;
-        get ()
-      | None -> compute ~attempts:0
-    in
-    get ()
 
 (* Cache keys carry the context minus [jobs]: parallelism must never
    change what is computed. *)
@@ -375,20 +181,16 @@ let build ctx bm ~input =
    population is pure in the ckey, so every consumer below shares one
    packed recording per ckey through the trace store's LRU: the sweeps
    (figure5's variants, table3/4, the ablations, breakeven) record the
-   stream once and replay it per parameter point.  [set_trace_replay
-   false] is the kill switch that forces live regeneration everywhere —
-   replay is byte-identical, so flipping it never changes results. *)
-let use_traces = Atomic.make true
-
-let set_trace_replay b = Atomic.set use_traces b
-let trace_replay_enabled () = Atomic.get use_traces
+   stream once and replay it per parameter point, unless
+   {!Rs_behavior.Trace_store.replay_enabled} is off ([--trace-cache-mb
+   0]) — replay is byte-identical, so it never changes results. *)
 
 let stream_key (k : ckey) =
   Printf.sprintf "%s/%s/seed=%d/scale=%g/tau=%d" k.bench (input_tag k.input) k.seed k.scale
     k.tau
 
 let trace ctx bm ~input =
-  if not (Atomic.get use_traces) then None
+  if not (Rs_behavior.Trace_store.replay_enabled ()) then None
   else begin
     let pop, cfg = build ctx bm ~input in
     Some (Rs_behavior.Trace_store.cached ~key:(stream_key (ckey ctx bm input)) pop cfg)
@@ -435,13 +237,6 @@ let rec profile ?(windows = Static.windows) ctx bm ~input =
   in
   let p = find_or_compute profiles ~bench:bm.BM.name key (fun () -> collect windows) in
   if covers p windows then p
-  else if current_txn () <> None then begin
-    (* Inside a speculative transaction the in-place upgrade below would
-       mutate the global entry; just compute the wider profile privately
-       — it is dropped with the arm if the speculation cancels. *)
-    count_lookup profiles ~bench:bm.BM.name ~hit:false;
-    collect windows
-  end
   else begin
     (* A window outside the canonical set: upgrade the entry in place
        with the union so later callers keep sharing one profile. *)

@@ -90,11 +90,11 @@ val trace :
     per [(seed, scale, tau, benchmark, input)] through
     {!Rs_behavior.Trace_store.cached} and replayed by every later
     consumer ({!run}, {!profile}, and the figure experiments that drive
-    the engine with hooks).  Returns [None] when replay is disabled via
-    {!set_trace_replay} — callers pass the option straight to the [?trace]
-    parameter of the sim layer, which then regenerates live.  Replay is
-    byte-identical to regeneration, so the toggle never changes
-    results, only speed. *)
+    the engine with hooks).  Returns [None] when the trace store's
+    capacity is 0 ([--trace-cache-mb 0] or [RS_TRACE_CACHE_MB=0]) —
+    callers pass the option straight to the [?trace] parameter of the
+    sim layer, which then regenerates live.  Replay is byte-identical to
+    regeneration, so the capacity never changes results, only speed. *)
 
 val fabricated_trace :
   key:string ->
@@ -108,14 +108,6 @@ val fabricated_trace :
     other artifact kinds, so an injected fault at the
     [trace_store.record] site is retried away instead of failing the
     experiment. *)
-
-val set_trace_replay : bool -> unit
-(** Enable/disable record-once/replay-many streaming (default enabled).
-    Disabling makes {!trace} return [None]; entries already recorded stay
-    in the trace store until {!reset} or eviction. *)
-
-val trace_replay_enabled : unit -> bool
-(** Current {!set_trace_replay} setting. *)
 
 val stats : unit -> stats
 (** Counters since the last {!reset} (or process start). *)

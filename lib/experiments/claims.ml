@@ -11,7 +11,12 @@ let run ctx =
   (* The five sub-experiments behind the verdicts are independent: fan
      them out over the pool (each fans out again internally over its
      benchmarks; the pool supports that nesting).  In an [rspec all] run
-     every one of these is already cached and returns immediately. *)
+     only figure5 and figure2 are served from {!Cache}: their profiles
+     and engine runs are memoised, so just the cheap post-processing
+     repeats.  figure6 reuses the cached builds and recorded traces but
+     re-runs its eviction watch, and figure7 and figure8 call
+     [Rs_mssp.Machine.run] outside the cache, so claims simulates them
+     again. *)
   let f5, f2, f6, f7, f8 =
     match
       Rs_util.Pool.run_all (Context.pool ctx)

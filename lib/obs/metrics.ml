@@ -11,11 +11,10 @@ let stripes = 64
 
 let stripe () = (Domain.self () :> int) land (stripes - 1)
 
-type counter = { c_name : string; c_cells : int Atomic.t array }
-type gauge = { g_name : string; g_cell : int Atomic.t }
+type counter = { c_cells : int Atomic.t array }
+type gauge = { g_cell : int Atomic.t }
 
 type histogram = {
-  h_name : string;
   bounds : float array;
   (* [stripes] rows of [Array.length bounds + 1] bucket cells, flattened. *)
   h_cells : int Atomic.t array;
@@ -45,12 +44,12 @@ let register name make describe_kind =
 
 let counter name =
   register name
-    (fun () -> Counter { c_name = name; c_cells = atomic_cells stripes })
+    (fun () -> Counter { c_cells = atomic_cells stripes })
     (function Counter c -> Some c | _ -> None)
 
 let gauge name =
   register name
-    (fun () -> Gauge { g_name = name; g_cell = Atomic.make 0 })
+    (fun () -> Gauge { g_cell = Atomic.make 0 })
     (function Gauge g -> Some g | _ -> None)
 
 let histogram name ~bounds =
@@ -60,117 +59,21 @@ let histogram name ~bounds =
   in
   if not sorted then invalid_arg "Metrics.histogram: bounds must be strictly increasing";
   register name
-    (fun () ->
-      Histogram
-        { h_name = name; bounds; h_cells = atomic_cells (stripes * (Array.length bounds + 1)) })
+    (fun () -> Histogram { bounds; h_cells = atomic_cells (stripes * (Array.length bounds + 1)) })
     (function
       | Histogram h when h.bounds = bounds -> Some h
       | Histogram _ -> None
       | _ -> None)
 
-(* --- speculative capture ---------------------------------------------
-
-   A [delta] buffers recordings instead of landing them in the global
-   cells, so a speculative task's metrics can be dropped wholesale when
-   the task is cancelled and merged atomically when it commits.  The
-   scheduler pushes a capture onto the recording domain's DLS stack
-   around every speculative task execution; every recording operation
-   consults the stack top first.  The buffer itself is mutex-guarded
-   because one speculative task may fan out across several domains (a
-   nested [map_range] inside the arm), all recording into one delta. *)
-
-type dval =
-  | D_count of counter * int ref
-  | D_gauge of gauge * int ref
-  | D_obs of histogram * float list ref
-
-type delta = { d_lock : Mutex.t; d_vals : (string, dval) Hashtbl.t }
-
-let delta () = { d_lock = Mutex.create (); d_vals = Hashtbl.create 16 }
-
-let capture_key : delta list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let capture_top () =
-  match !(Domain.DLS.get capture_key) with [] -> None | d :: _ -> Some d
-
-let capture_push d =
-  let r = Domain.DLS.get capture_key in
-  r := d :: !r
-
-let capture_pop () =
-  let r = Domain.DLS.get capture_key in
-  match !r with
-  | [] -> invalid_arg "Metrics.capture_pop: no capture active on this domain"
-  | _ :: tl -> r := tl
-
-let buffer d name mk update =
-  Mutex.lock d.d_lock;
-  let v =
-    match Hashtbl.find_opt d.d_vals name with
-    | Some v -> v
-    | None ->
-      let v = mk () in
-      Hashtbl.add d.d_vals name v;
-      v
-  in
-  update v;
-  Mutex.unlock d.d_lock
-
-let add c k =
-  match capture_top () with
-  | None -> Atomic.fetch_and_add c.c_cells.(stripe ()) k |> ignore
-  | Some d ->
-    buffer d c.c_name
-      (fun () -> D_count (c, ref 0))
-      (function D_count (_, r) -> r := !r + k | _ -> assert false)
-
+let add c k = Atomic.fetch_and_add c.c_cells.(stripe ()) k |> ignore
 let incr c = add c 1
-
-let set g v =
-  match capture_top () with
-  | None -> Atomic.set g.g_cell v
-  | Some d ->
-    buffer d g.g_name
-      (fun () -> D_gauge (g, ref v))
-      (function D_gauge (_, r) -> r := v | _ -> assert false)
+let set g v = Atomic.set g.g_cell v
 
 let observe h x =
-  match capture_top () with
-  | None ->
-    let nb = Array.length h.bounds in
-    let rec bucket i = if i >= nb || x <= h.bounds.(i) then i else bucket (i + 1) in
-    let cell = (stripe () * (nb + 1)) + bucket 0 in
-    Atomic.fetch_and_add h.h_cells.(cell) 1 |> ignore
-  | Some d ->
-    buffer d h.h_name
-      (fun () -> D_obs (h, ref []))
-      (function D_obs (_, r) -> r := x :: !r | _ -> assert false)
-
-let apply d =
-  Mutex.lock d.d_lock;
-  let entries = Hashtbl.fold (fun name v acc -> (name, v) :: acc) d.d_vals [] in
-  Hashtbl.reset d.d_vals;
-  Mutex.unlock d.d_lock;
-  (* Re-dispatch through the public recorders: if the applying domain is
-     itself inside a capture (nested speculation), the inner delta folds
-     into the outer one instead of escaping to the global cells. *)
-  entries
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (_, v) ->
-         match v with
-         | D_count (c, r) -> if !r <> 0 then add c !r
-         | D_gauge (g, r) -> set g !r
-         | D_obs (h, r) -> List.iter (observe h) (List.rev !r))
-
-let captured d =
-  Mutex.lock d.d_lock;
-  let out =
-    Hashtbl.fold
-      (fun name v acc -> match v with D_count (_, r) -> (name, !r) :: acc | _ -> acc)
-      d.d_vals []
-  in
-  Mutex.unlock d.d_lock;
-  List.sort compare out
+  let nb = Array.length h.bounds in
+  let rec bucket i = if i >= nb || x <= h.bounds.(i) then i else bucket (i + 1) in
+  let cell = (stripe () * (nb + 1)) + bucket 0 in
+  Atomic.fetch_and_add h.h_cells.(cell) 1 |> ignore
 
 let counter_value c = Array.fold_left (fun a cell -> a + Atomic.get cell) 0 c.c_cells
 let gauge_value g = Atomic.get g.g_cell

@@ -63,40 +63,3 @@ val render_summary : unit -> string
 val reset : unit -> unit
 (** Zero every registered metric (registrations persist).  Tests only —
     not synchronised with concurrent writers. *)
-
-(** {1 Speculative capture}
-
-    Side-effect isolation for speculative tasks: while a capture is
-    active on a domain, every {!add}/{!set}/{!observe} lands in the
-    capture's {!delta} instead of the global cells.  The work-stealing
-    scheduler pushes/pops captures around speculative task execution; a
-    cancelled task's delta is simply dropped, a committed one is merged
-    with {!apply}.  A delta is domain-safe: several domains may record
-    into one delta concurrently (a nested parallel map inside the
-    speculative task). *)
-
-type delta
-
-val delta : unit -> delta
-(** A fresh, empty buffer. *)
-
-val capture_push : delta -> unit
-(** Divert this domain's recordings into [delta] until the matching
-    {!capture_pop}.  Captures nest (a stack per domain); the innermost
-    one receives the recordings. *)
-
-val capture_pop : unit -> unit
-(** Undo the most recent {!capture_push} on this domain.
-    @raise Invalid_argument if no capture is active. *)
-
-val apply : delta -> unit
-(** Merge the buffered recordings and empty the delta.  Counter
-    increments are added, gauge writes replay last-value-wins, and
-    histogram observations are re-observed.  Dispatches through the
-    public recorders, so an active capture on the applying domain
-    (nested speculation) receives the merge instead of the global
-    cells. *)
-
-val captured : delta -> (string * int) list
-(** The buffered counter increments, sorted by name — for tests
-    asserting that a cancelled speculative task leaked nothing. *)

@@ -549,9 +549,13 @@ let test_engine_paths_agree () =
   in
   let r_batched = Rs_sim.Engine.run ~trace:tr pop cfg params in
   let r_auto = Rs_sim.Engine.run pop cfg params in
-  TS.set_auto false;
+  let capacity = TS.capacity_bytes () in
   let r_noauto =
-    Fun.protect ~finally:(fun () -> TS.set_auto true) (fun () -> Rs_sim.Engine.run pop cfg params)
+    Fun.protect
+      ~finally:(fun () -> TS.set_capacity_bytes capacity)
+      (fun () ->
+        TS.set_capacity_bytes 0;
+        Rs_sim.Engine.run pop cfg params)
   in
   Alcotest.(check bool) "raw == boxed result" true (summary r_raw = summary r_boxed);
   Alcotest.(check bool) "batched == boxed result" true (summary r_batched = summary r_boxed);

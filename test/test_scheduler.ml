@@ -1,13 +1,9 @@
 (* The work-stealing scheduler: deque semantics, splittable map_range,
-   jobs-independence under random nesting, speculative execution with
-   commit/rollback of buffered side effects, and the post/close drain
+   jobs-independence under random nesting, and the post/close drain
    guarantee. *)
 
 module Pool = Rs_util.Pool
 module Deque = Rs_util.Deque
-module Metrics = Rs_obs.Metrics
-module Fault = Rs_fault.Fault
-module E = Rs_experiments
 
 let busy n =
   let acc = ref 0 in
@@ -129,140 +125,6 @@ let nested_identity_test =
         Prop.int ~lo:1 ~hi:5 rng ))
     nested_identity_prop
 
-(* --- speculation ----------------------------------------------------------- *)
-
-let spec_counter = Metrics.counter "test.scheduler_spec"
-
-let await flag =
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.001
-  done;
-  Alcotest.(check bool) "speculative task ran" true (Atomic.get flag)
-
-let test_spec_commit_merges () =
-  with_pool @@ fun pool ->
-  let before = Metrics.counter_value spec_counter in
-  let s =
-    Pool.spec_spawn pool (fun () ->
-        Metrics.incr spec_counter;
-        41)
-  in
-  Alcotest.(check int) "commit returns the result" 41 (Pool.spec_commit pool s);
-  Alcotest.(check int) "buffered increment applied on commit" (before + 1)
-    (Metrics.counter_value spec_counter)
-
-let test_spec_cancel_discards () =
-  with_pool @@ fun pool ->
-  let before = Metrics.counter_value spec_counter in
-  let ran = Atomic.make false in
-  let s =
-    Pool.spec_spawn pool (fun () ->
-        Metrics.incr spec_counter;
-        Atomic.set ran true)
-  in
-  await ran;
-  Pool.spec_cancel pool s;
-  Pool.spec_cancel pool s (* idempotent *);
-  Alcotest.(check int) "cancelled task leaked no metrics" before
-    (Metrics.counter_value spec_counter);
-  match Pool.spec_commit pool s with
-  | _ -> Alcotest.fail "committing a cancelled task must be rejected"
-  | exception Invalid_argument _ -> ()
-
-let test_spec_cancel_pending_never_runs () =
-  with_pool ~jobs:1 @@ fun pool ->
-  (* jobs=1 defers the spawn, so cancel wins before any execution *)
-  let ran = ref false in
-  let s = Pool.spec_spawn pool (fun () -> ran := true) in
-  Pool.spec_cancel pool s;
-  Alcotest.(check bool) "pending task never ran" false !ran
-
-let test_spec_jobs1_inline () =
-  with_pool ~jobs:1 @@ fun pool ->
-  let before = Metrics.counter_value spec_counter in
-  let order = ref [] in
-  let s =
-    Pool.spec_spawn pool (fun () ->
-        order := "arm" :: !order;
-        Metrics.incr spec_counter;
-        7)
-  in
-  order := "pre-commit" :: !order;
-  Alcotest.(check int) "deferred arm runs inline at commit" 7 (Pool.spec_commit pool s);
-  Alcotest.(check (list string)) "sequential order" [ "arm"; "pre-commit" ] !order;
-  Alcotest.(check int) "inline run records directly" (before + 1)
-    (Metrics.counter_value spec_counter)
-
-let test_spec_exception_rethrown () =
-  with_pool @@ fun pool ->
-  let s = Pool.spec_spawn pool (fun () -> failwith "spec boom") in
-  (match Pool.spec_commit pool s with
-  | _ -> Alcotest.fail "expected the arm's exception"
-  | exception Failure msg -> Alcotest.(check string) "original exception" "spec boom" msg);
-  (* a failed arm can also be cancelled instead: effects drop silently *)
-  let s2 = Pool.spec_spawn pool (fun () -> failwith "spec boom 2") in
-  Pool.spec_cancel pool s2
-
-(* A committed arm publishes its cache writes; a cancelled arm's writes
-   roll back and the global table recomputes. *)
-let test_spec_cache_rollback () =
-  E.Cache.reset ();
-  let m = E.Cache.Private.memo "test-spec-txn" in
-  with_pool @@ fun pool ->
-  let compute_committed = Atomic.make false and compute_cancelled = Atomic.make false in
-  let win =
-    Pool.spec_spawn pool (fun () ->
-        let v = E.Cache.Private.find_or_compute m ~bench:"t" "win" (fun () -> 5) in
-        Atomic.set compute_committed true;
-        v)
-  in
-  let lose =
-    Pool.spec_spawn pool (fun () ->
-        ignore (E.Cache.Private.find_or_compute m ~bench:"t" "lose" (fun () -> 6));
-        Atomic.set compute_cancelled true)
-  in
-  await compute_committed;
-  await compute_cancelled;
-  Pool.spec_cancel pool lose;
-  Alcotest.(check int) "winner's value" 5 (Pool.spec_commit pool win);
-  Alcotest.(check int) "committed write published (no recompute)" 5
-    (E.Cache.Private.find_or_compute m ~bench:"t" "win" (fun () -> 99));
-  Alcotest.(check int) "cancelled write rolled back (recomputes)" 7
-    (E.Cache.Private.find_or_compute m ~bench:"t" "lose" (fun () -> 7));
-  E.Cache.reset ()
-
-(* Chaos: injected faults at the scheduler's sites while speculation
-   churns.  Worker-start faults kill helpers (the caller still completes
-   everything); task faults abort whole maps.  Through all of it the
-   global counter must see exactly the committed arms — a cancelled
-   arm's buffered effects never leak, fault or no fault. *)
-let test_spec_chaos_never_leaks () =
-  (match Fault.configure_spec "seed=13,rate=0.35,sites=pool.worker_start:pool.task" with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "bad fault spec: %s" msg);
-  Fun.protect ~finally:Fault.disable @@ fun () ->
-  with_pool ~jobs:4 @@ fun pool ->
-  let before = Metrics.counter_value spec_counter in
-  let committed = ref 0 in
-  for round = 1 to 20 do
-    let arm k =
-      Pool.spec_spawn pool (fun () ->
-          ignore (busy (200 * k));
-          Metrics.incr spec_counter)
-    in
-    let a = arm round and b = arm (round + 1) in
-    (* interleave a map so pool.task faults fire mid-flight *)
-    (try ignore (Pool.map_ordered pool (fun i -> i * i) (Array.init 8 Fun.id))
-     with Fault.Injected _ -> ());
-    let keep, drop = if round mod 2 = 0 then (a, b) else (b, a) in
-    Pool.spec_cancel pool drop;
-    Pool.spec_commit pool keep;
-    incr committed
-  done;
-  Alcotest.(check int) "exactly the committed arms landed" (before + !committed)
-    (Metrics.counter_value spec_counter)
-
 (* --- post / close drain ---------------------------------------------------- *)
 
 let test_jobs1_post_drained_at_close () =
@@ -283,12 +145,5 @@ let suite =
     Alcotest.test_case "map_range splits and steals" `Quick test_map_range_splits_and_steals;
     Alcotest.test_case "map_range jobs=1 strict order" `Quick test_map_range_jobs1_strict_order;
     nested_identity_test;
-    Alcotest.test_case "spec commit merges" `Quick test_spec_commit_merges;
-    Alcotest.test_case "spec cancel discards" `Quick test_spec_cancel_discards;
-    Alcotest.test_case "spec cancel pending never runs" `Quick test_spec_cancel_pending_never_runs;
-    Alcotest.test_case "spec jobs=1 inline" `Quick test_spec_jobs1_inline;
-    Alcotest.test_case "spec exception rethrown" `Quick test_spec_exception_rethrown;
-    Alcotest.test_case "spec cache rollback" `Quick test_spec_cache_rollback;
-    Alcotest.test_case "spec chaos never leaks" `Quick test_spec_chaos_never_leaks;
     Alcotest.test_case "jobs=1 post drained at close" `Quick test_jobs1_post_drained_at_close;
   ]

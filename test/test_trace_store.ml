@@ -142,22 +142,30 @@ let test_rejects_decreasing_instr () =
              push ~branch:1 ~taken:false ~instr:4)
           : TS.t))
 
-(* Figure5 rendered through trace replay vs forced live regeneration:
-   the sweep's output must be byte-identical either way. *)
+(* Figure5 rendered through trace replay vs live regeneration.  A zero
+   trace-store capacity turns off both the cache's recorded traces and
+   the engine's automatic replay, so the live arm generates every stream
+   (the store records nothing); the replayed arm records each stream once.
+   The sweep's output must be byte-identical either way. *)
 let test_figure5_replay_byte_identity () =
   let ctx = Rs_experiments.Context.create ~seed:7 ~scale:0.02 ~tau:10 ~jobs:1 () in
-  let render replay =
-    Rs_experiments.Cache.set_trace_replay replay;
+  let render () =
     Rs_experiments.Cache.reset ();
-    Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx)
+    let out = Rs_experiments.Figure5.render (Rs_experiments.Figure5.run ctx) in
+    (out, (TS.stats ()).misses)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Rs_experiments.Cache.set_trace_replay true;
-      Rs_experiments.Cache.reset ())
-    (fun () ->
-      let live = render false in
-      let replayed = render true in
+  let capacity = TS.capacity_bytes () in
+  let live, live_recordings =
+    Fun.protect
+      ~finally:(fun () -> TS.set_capacity_bytes capacity)
+      (fun () ->
+        TS.set_capacity_bytes 0;
+        render ())
+  in
+  Fun.protect ~finally:Rs_experiments.Cache.reset (fun () ->
+      let replayed, recordings = render () in
+      Alcotest.(check int) "live arm recorded no trace" 0 live_recordings;
+      Alcotest.(check bool) "replayed arm recorded traces" true (recordings > 0);
       Alcotest.(check string) "figure5 via replay == via regeneration" live replayed)
 
 let suite =

@@ -61,7 +61,8 @@ let bench_trace_replay () =
   !acc
 
 let bench_reactive_observe () =
-  (* figure5 / table3 / table4 kernel: one full small engine run *)
+  (* figure5 / table3 / table4 kernel: one full small engine run on live
+     generation (no trace), the arm compared against the replay below *)
   let pop = Lazy.force small_pop in
   let r = Rs_sim.Engine.run pop stream_cfg Rs_core.Params.default in
   r.correct
@@ -73,9 +74,10 @@ let bench_reactive_replay () =
   r.correct
 
 let bench_profile () =
-  (* figure2 kernel: profile collection with window checkpoints *)
+  (* figure2 kernel: profile collection with window checkpoints, off the
+     prerecorded trace as the experiment runner does *)
   let pop = Lazy.force small_pop in
-  let p = Rs_sim.Profile.collect pop stream_cfg in
+  let p = Rs_sim.Profile.collect ~trace:(Lazy.force small_trace) pop stream_cfg in
   Rs_sim.Profile.total_events p
 
 let small_profile = lazy (Rs_sim.Profile.collect (Lazy.force small_pop) stream_cfg)
@@ -86,15 +88,21 @@ let bench_pareto () =
   Array.length (Rs_sim.Pareto.curve (Lazy.force small_profile))
 
 let bench_tracks () =
-  (* figure3 / figure9 kernel *)
+  (* figure3 / figure9 kernel, off the prerecorded trace *)
   let pop = Lazy.force small_pop in
-  let t = Rs_sim.Tracks.Intervals.collect pop stream_cfg ~buckets:16 ~min_execs:10 in
+  let t =
+    Rs_sim.Tracks.Intervals.collect ~trace:(Lazy.force small_trace) pop stream_cfg ~buckets:16
+      ~min_execs:10
+  in
   List.length (Rs_sim.Tracks.Intervals.flippers t ~threshold:0.99)
 
 let bench_eviction_watch () =
-  (* figure6 kernel *)
+  (* figure6 kernel, off the prerecorded trace *)
   let pop = Lazy.force small_pop in
-  let w = Rs_sim.Eviction_watch.run pop stream_cfg Rs_core.Params.default in
+  let w =
+    Rs_sim.Eviction_watch.run ~trace:(Lazy.force small_trace) pop stream_cfg
+      Rs_core.Params.default
+  in
   w.samples
 
 let region =

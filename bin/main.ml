@@ -77,8 +77,9 @@ let ctx_term =
     let doc =
       "Capacity of the in-memory branch-event trace store in megabytes (also \
        $(b,RS_TRACE_CACHE_MB)).  Streams are recorded once and replayed from this LRU by \
-       every sweep; 0 disables recording entirely (streams regenerate live; results are \
-       identical either way).  See README 'Trace record/replay'."
+       every sweep; 0 makes benchmark streams regenerate live (results are identical \
+       either way; the adversarial entries' fabricated traces still record, uncached).  \
+       See README 'Trace record/replay'."
     in
     Arg.(value & opt (some int) None & info [ "trace-cache-mb" ] ~docv:"MB" ~doc)
   in

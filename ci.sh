@@ -45,13 +45,25 @@ done
 # Same stress with the trace store's recording site also failing: the
 # pipeline records streams once and replays them, so a fault inside
 # trace_store.record must be retried away without changing a byte.
-# max_raises is a PER-SITE budget and a cache compute body now consults
-# two sites (cache.* plus trace_store.record), so the worst case is
-# max_raises * 2 raises against 3 attempts: max_raises=1 keeps the
-# retries-always-succeed guarantee that byte-identity rests on.
+# max_raises is a per-(site, key) budget and a recording is retried on
+# its own inside the compute body that asked for it, so any
+# max_raises below the 3-attempt retry limit keeps byte-identity.
 echo "== fault stress (trace_store.record site) =="
 RS_FAULTS="seed=3,rate=0.8,max_raises=1,sites=cache:trace_store,delay=0.2,delay_us=300,delay_sites=pool" \
   timeout 600 ./_build/default/test/main.exe test fault
+# figure6 and figure9 ask the cache for their traces outside any memo
+# body: the recording's own bounded retry must absorb the fault, and the
+# CLI output must match a fault-free run byte for byte.
+dune build bin/main.exe
+FAULT_DIR=$(mktemp -d /tmp/rs_trace_fault.XXXXXX)
+timeout 600 ./_build/default/bin/main.exe run figure6 figure9 --scale 0.02 --tau 10 --jobs 1 \
+  > "$FAULT_DIR/clean.txt"
+RS_FAULTS="seed=1,rate=0.8,max_raises=1,sites=trace_store" \
+  timeout 600 ./_build/default/bin/main.exe run figure6 figure9 --scale 0.02 --tau 10 --jobs 1 \
+  > "$FAULT_DIR/faulted.txt"
+cmp "$FAULT_DIR/clean.txt" "$FAULT_DIR/faulted.txt" \
+  || { echo "trace_store.record faults changed figure6/figure9 output" >&2; exit 1; }
+rm -rf "$FAULT_DIR"
 
 # Registry stage: the CLI, docs and test snapshots must agree on the
 # experiment registry.  `rspec list` is diffed against the generated

@@ -304,72 +304,7 @@ let set_capacity_bytes b =
   refresh_gauges ();
   Mutex.unlock lock
 
-(* ---------------------------------------------------------------------- *)
-(* Automatic record-then-replay memo                                       *)
-(* ---------------------------------------------------------------------- *)
-
-(* Streams are pure in (population, config), so a consumer called twice
-   on the SAME population value and config replays one recording.  The
-   memo keys on physical identity of the population — structural hashing
-   of behaviour models could conflate distinct populations, physical
-   equality cannot — plus structural config equality, and is a small
-   bounded FIFO: entries hold strong references, so a hard cap keeps the
-   worst case to [auto_capacity] packed traces (the experiment runner
-   passes explicit [cached] traces and never reaches this path).
-
-   This is what makes "generation" run the packed decoder: simulation
-   entry points without an explicit trace record once through [auto] and
-   then iterate chunks, byte-identical to live generation. *)
-
-let auto_capacity = 8
-
-type auto_entry = { a_pop : Population.t; a_cfg : Stream.config; a_trace : t }
-
-let auto_entries : auto_entry option array = Array.make auto_capacity None
-let auto_next = ref 0 (* FIFO cursor, guarded by [lock] *)
-let replay_enabled () = !capacity > 0
-
-let auto_find pop cfg =
-  let found = ref None in
-  for i = 0 to auto_capacity - 1 do
-    match auto_entries.(i) with
-    | Some e when e.a_pop == pop && e.a_cfg = cfg -> found := Some e.a_trace
-    | _ -> ()
-  done;
-  !found
-
-let auto pop cfg =
-  if not (replay_enabled ()) then None
-  else begin
-    Mutex.lock lock;
-    let hit = auto_find pop cfg in
-    Mutex.unlock lock;
-    match hit with
-    | Some _ as r -> r
-    | None ->
-      (* Record outside the lock; a racing domain recording the same pair
-         publishes an identical trace, so last-write-wins is benign. *)
-      let trace = record pop cfg in
-      Mutex.lock lock;
-      (match auto_find pop cfg with
-      | Some tr ->
-        Mutex.unlock lock;
-        Some tr
-      | None ->
-        auto_entries.(!auto_next) <- Some { a_pop = pop; a_cfg = cfg; a_trace = trace };
-        auto_next := (!auto_next + 1) mod auto_capacity;
-        Mutex.unlock lock;
-        Some trace)
-  end
-
-let auto_clear () =
-  Mutex.lock lock;
-  Array.fill auto_entries 0 auto_capacity None;
-  auto_next := 0;
-  Mutex.unlock lock
-
 let clear () =
-  auto_clear ();
   Mutex.lock lock;
   (* keep [In_flight] markers: their recorder will publish (or drop)
      them; dropping someone else's marker here would strand waiters *)

@@ -23,8 +23,9 @@
     stream config.  Capacity defaults to {!default_capacity_mb} MB,
     overridable with [$RS_TRACE_CACHE_MB] or {!set_capacity_bytes}
     (the CLI's [--trace-cache-mb]); a capacity of 0 disables caching
-    (every {!cached} call records afresh) and turns {!replay_enabled}
-    off.  Lookups feed the
+    (every {!cached} call records afresh).  This LRU is the only place
+    traces are shared: consumers either pass a trace explicitly or
+    regenerate the stream live.  Lookups feed the
     [trace_store.hits] / [.misses] / [.evictions] counters and the
     [trace_store.bytes] / [.entries] gauges of {!Rs_obs.Metrics} and,
     when tracing is on, emit ["trace_store"] {!Rs_obs.Trace} events.
@@ -106,28 +107,6 @@ val packed_branch : int -> int
 val packed_taken : int -> bool
 val packed_delta : int -> int
 
-(** {2 Automatic record-then-replay}
-
-    Simulation entry points called {e without} an explicit trace hand
-    their (population, config) pair to {!auto}: the stream is recorded
-    once (keyed on the population's {e physical} identity plus the
-    structural config, held in a small bounded FIFO of
-    {!auto_capacity} entries) and every later pass over the same pair
-    decodes the packed chunks instead of regenerating.  Replay is exact,
-    so this is invisible except in speed. *)
-
-val auto : Population.t -> Stream.config -> t option
-(** The memoized trace for this (population, config), recording on
-    first sight — or [None] when the trace-cache capacity is zero. *)
-
-val auto_capacity : int
-
-val replay_enabled : unit -> bool
-(** [capacity_bytes () > 0].  A zero capacity is the one switch that
-    turns record-once/replay-many off everywhere: {!auto} and the
-    experiment cache's traces return [None], so every stream regenerates
-    live — results are identical either way. *)
-
 (** {2 The process-global LRU} *)
 
 val cached : key:string -> Population.t -> Stream.config -> t
@@ -153,6 +132,9 @@ val env_var : string
 (** ["RS_TRACE_CACHE_MB"], read once at startup. *)
 
 val capacity_bytes : unit -> int
+(** The current capacity.  Zero is the one switch that turns
+    record-once/replay-many off for the experiment runner: its benchmark
+    streams then regenerate live, with identical results. *)
 
 val set_capacity_bytes : int -> unit
 (** Negative values are clamped to 0; shrinking evicts immediately. *)

@@ -91,15 +91,10 @@ let count_lookup m ~bench ~hit =
         S ("bench", bench);
       ]
 
-let count_retry m ~bench =
-  Rs_obs.Metrics.incr m.m_retries;
-  if Rs_obs.Trace.enabled () then
-    Rs_obs.Trace.emit "cache"
-      [ S ("kind", m.kind); S ("outcome", "retry"); S ("bench", bench) ]
-
-(* Run the compute body with bounded in-place retries, starting from
-   [attempts] already consumed by earlier rounds. *)
-let attempt_body m ~bench ~attempts f =
+(* Run [f] with bounded in-place retries, starting from [attempts]
+   already consumed by earlier rounds; each retry bumps [retries] and
+   emits a ["cache"] trace event tagged [kind]. *)
+let attempt ~kind ~retries ~bench ~attempts f =
   let rec go n =
     match f () with
     | v -> Ready v
@@ -107,11 +102,16 @@ let attempt_body m ~bench ~attempts f =
       let n = n + 1 in
       if n >= !limit then Failed (e, n)
       else begin
-        count_retry m ~bench;
+        Rs_obs.Metrics.incr retries;
+        if Rs_obs.Trace.enabled () then
+          Rs_obs.Trace.emit "cache"
+            [ S ("kind", kind); S ("outcome", "retry"); S ("bench", bench) ];
         go n
       end
   in
   go attempts
+
+let attempt_body m = attempt ~kind:m.kind ~retries:m.m_retries
 
 (* Publish [slot] for [key] unless a [reset] raced the computation: then
    the table was already cleared (and may hold post-reset entries), so
@@ -177,12 +177,27 @@ let build ctx bm ~input =
       Fault.hit ~site:"cache.build" ~key:(bm.BM.name ^ "/" ^ input_tag input);
       Context.build ctx bm ~input)
 
+(* Every recording goes through the trace store's LRU — the one place a
+   trace is shared — under the same bounded retry as the memo bodies, so
+   a fault at the [trace_store.record] site is retried away instead of
+   failing the experiment.  No table here holds traces: the LRU alone
+   decides what stays resident. *)
+let m_trace_retries = Rs_obs.Metrics.counter "cache.trace.retries"
+
+let recorded ~key pop cfg =
+  match
+    attempt ~kind:"trace" ~retries:m_trace_retries ~bench:key ~attempts:0 (fun () ->
+        Rs_behavior.Trace_store.cached ~key pop cfg)
+  with
+  | Ready tr -> tr
+  | Failed (e, _) -> raise e
+  | In_flight -> assert false
+
 (* Branch-event streams are pure in (population, stream config), and the
    population is pure in the ckey, so every consumer below shares one
-   packed recording per ckey through the trace store's LRU: the sweeps
-   (figure5's variants, table3/4, the ablations, breakeven) record the
-   stream once and replay it per parameter point, unless
-   {!Rs_behavior.Trace_store.replay_enabled} is off ([--trace-cache-mb
+   packed recording per ckey: the sweeps (figure5's variants, table3/4,
+   the ablations, breakeven) record the stream once and replay it per
+   parameter point, unless the store's capacity is 0 ([--trace-cache-mb
    0]) — replay is byte-identical, so it never changes results. *)
 
 let stream_key (k : ckey) =
@@ -190,24 +205,16 @@ let stream_key (k : ckey) =
     k.tau
 
 let trace ctx bm ~input =
-  if not (Rs_behavior.Trace_store.replay_enabled ()) then None
+  if Rs_behavior.Trace_store.capacity_bytes () = 0 then None
   else begin
     let pop, cfg = build ctx bm ~input in
-    Some (Rs_behavior.Trace_store.cached ~key:(stream_key (ckey ctx bm input)) pop cfg)
+    Some (recorded ~key:(stream_key (ckey ctx bm input)) pop cfg)
   end
 
 (* Fabricated traces (the adversarial scenario families) are keyed by a
    caller-supplied string instead of a ckey: their populations are not
-   benchmark-derived.  Routing the recording through a memo gives it the
-   same bounded-retry semantics as every other compute body — a fault at
-   the [trace_store.record] site is retried away instead of failing the
-   experiment.  The benchmark paths above get this for free because
-   their recordings happen inside the [run]/[profile] bodies. *)
-let fabricated : (string, Rs_behavior.Trace_store.t) memo = memo "trace"
-
-let fabricated_trace ~key pop cfg =
-  find_or_compute fabricated ~bench:key key (fun () ->
-      Rs_behavior.Trace_store.cached ~key pop cfg)
+   benchmark-derived. *)
+let fabricated_trace = recorded
 
 (* Every checkpoint window the suite requests anywhere: the paper-time
    windows (figure5's default profiles), the context's compressed windows

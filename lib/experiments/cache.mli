@@ -90,7 +90,10 @@ val trace :
     per [(seed, scale, tau, benchmark, input)] through
     {!Rs_behavior.Trace_store.cached} and replayed by every later
     consumer ({!run}, {!profile}, and the figure experiments that drive
-    the engine with hooks).  Returns [None] when the trace store's
+    the engine with hooks) for as long as the store's LRU keeps it.  A
+    failed recording is retried in place like a compute body (up to
+    {!retry_limit} attempts), so an injected [trace_store.record] fault
+    never fails the experiment.  Returns [None] when the trace store's
     capacity is 0 ([--trace-cache-mb 0] or [RS_TRACE_CACHE_MB=0]) —
     callers pass the option straight to the [?trace] parameter of the
     sim layer, which then regenerates live.  Replay is byte-identical to
@@ -101,13 +104,13 @@ val fabricated_trace :
   Rs_behavior.Population.t ->
   Rs_behavior.Stream.config ->
   Rs_behavior.Trace_store.t
-(** Memoised {!Rs_behavior.Trace_store.cached} for fabricated (non-ckey)
-    populations — the adversarial scenario entries.  [key] must encode
-    everything the recording depends on (scenario name, seed, scale,
-    tau).  The compute body runs with the same bounded retries as the
-    other artifact kinds, so an injected fault at the
-    [trace_store.record] site is retried away instead of failing the
-    experiment. *)
+(** {!Rs_behavior.Trace_store.cached} for fabricated (non-ckey)
+    populations — the adversarial scenario entries — with the same
+    bounded retry as {!trace}.  [key] must encode everything the
+    recording depends on (scenario name, seed, scale, tau).  Nothing
+    here pins the trace: it stays shared only while the store's LRU
+    holds it, and at capacity 0 every call records afresh (fabricated
+    traces have no live-generation fallback). *)
 
 val stats : unit -> stats
 (** Counters since the last {!reset} (or process start). *)

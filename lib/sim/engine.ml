@@ -123,12 +123,11 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
       m "run: %d branches, %d events, ipb %.1f%s" n config.Rs_behavior.Stream.length
         config.instr_per_branch
         (if trace = None then "" else " (trace replay)"));
-  (* Every hookless pass runs off packed chunks: an explicit [trace]
-     replays it, and the generation path records once through the
-     [Trace_store.auto] memo and replays that — bit-exact either way.
-     Hook order is part of the contract — the observer sees the event
-     after scoring but before the controller does — so the observer
-     paths keep the split deployed/observe calls. *)
+  (* Each path has two sources: an explicit [trace], replayed off its
+     packed chunks, or the live generator — bit-exact either way.  Hook
+     order is part of the contract — the observer sees the event after
+     scoring but before the controller does — so the observer paths
+     keep the split deployed/observe calls. *)
   let run_batched tr =
     let b =
       {
@@ -185,32 +184,26 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
     in
     (match trace with
     | Some tr -> replay_raw tr
-    | None -> (
-      match Rs_behavior.Trace_store.auto pop config with
-      | Some tr -> replay_raw tr
-      | None ->
-        ignore
-          (Rs_behavior.Stream.iter_raw pop config
-             (fun ~branch ~taken ~exec_index:_ ~instr -> consume_raw ~branch ~taken ~instr)
-            : int array)))
-  | None, None, Some tr -> run_batched tr
-  | None, None, None -> (
-    match Rs_behavior.Trace_store.auto pop config with
-    | Some tr -> run_batched tr
     | None ->
-      (* Auto-replay off: still allocation-free — fused scalar steps
-         straight off the raw generator. *)
       ignore
         (Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index:_ ~instr ->
-             let code = Reactive.step_code controller ~branch ~taken ~instr in
-             if code land 1 = 1 then
-               if taken = (code land 2 = 2) then incr correct
-               else begin
-                 incr incorrect;
-                 Rs_util.Running_stats.add gaps (float_of_int (instr - !last_misspec));
-                 last_misspec := instr
-               end)
-          : int array)));
+             consume_raw ~branch ~taken ~instr)
+          : int array))
+  | None, None, Some tr -> run_batched tr
+  | None, None, None ->
+    (* Live generation is still allocation-free: fused scalar steps
+       straight off the raw generator. *)
+    ignore
+      (Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index:_ ~instr ->
+           let code = Reactive.step_code controller ~branch ~taken ~instr in
+           if code land 1 = 1 then
+             if taken = (code land 2 = 2) then incr correct
+             else begin
+               incr incorrect;
+               Rs_util.Running_stats.add gaps (float_of_int (instr - !last_misspec));
+               last_misspec := instr
+             end)
+        : int array));
   Log.debug (fun m ->
       m "done: correct %d (%.2f%%), incorrect %d (%.4f%%)" !correct
         (100.0 *. float_of_int !correct /. float_of_int config.Rs_behavior.Stream.length)

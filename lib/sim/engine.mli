@@ -6,11 +6,11 @@
     to the controller as an observation.
 
     Hookless runs never materialize per-event values: an explicit trace
-    (or, absent one, a recording made once through
-    {!Rs_behavior.Trace_store.auto}) is consumed whole packed chunks at
-    a time by {!run_chunk}, so the per-event work is integer decode, a
-    fused {!Rs_core.Reactive.step_code} and integer scoring — nothing
-    the minor heap ever sees. *)
+    is consumed whole packed chunks at a time by {!run_chunk}, and
+    without one the raw generator feeds the same fused
+    {!Rs_core.Reactive.step_code}, so the per-event work is integer
+    decode or generation, one controller step and integer scoring —
+    nothing the minor heap ever sees. *)
 
 type result = {
   total_events : int;
@@ -48,10 +48,10 @@ val run :
     the same (population, config) instead of regenerating the stream:
     the result — counters, misspeculation gaps, controller state,
     observer/transition hook sequence — is identical, the hot loop just
-    iterates packed chunks at memory speed.  Without [trace], hookless
-    and [observer_raw] runs go through {!Rs_behavior.Trace_store.auto}
-    (record once, replay thereafter — also identical); a boxed
-    [observer] keeps the event-record path.
+    iterates packed chunks at memory speed.  Without [trace] the stream
+    is generated live (the raw generator for hookless and
+    [observer_raw] runs, the event-record generator for a boxed
+    [observer]).
     @raise Invalid_argument if the trace does not match the
     (population, config) pair, or both observers are given. *)
 

@@ -47,30 +47,25 @@ let collect ?(windows = Static.windows) ?trace pop config =
       Array.unsafe_set next_window b (w + 1)
     end
   in
-  (* A trace pass decodes packed chunks directly, reconstructing the
-     per-branch execution index with its own counters — no event
-     records. *)
-  let run_trace tr =
-    let exec = Array.make n 0 in
-    Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
-        for i = 0 to len - 1 do
-          let w = Array.unsafe_get chunk i in
-          let b = Rs_behavior.Trace_store.packed_branch w in
-          let e = Array.unsafe_get exec b in
-          Array.unsafe_set exec b (e + 1);
-          update b (Rs_behavior.Trace_store.packed_taken w) e
-        done);
-    exec
-  in
   let execs =
     match trace with
-    | Some tr -> run_trace tr
-    | None -> (
-      match Rs_behavior.Trace_store.auto pop config with
-      | Some tr -> run_trace tr
-      | None ->
-        Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index ~instr:_ ->
-            update branch taken exec_index))
+    | Some tr ->
+      (* A trace pass decodes packed chunks directly, reconstructing the
+         per-branch execution index with its own counters — no event
+         records. *)
+      let exec = Array.make n 0 in
+      Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
+          for i = 0 to len - 1 do
+            let w = Array.unsafe_get chunk i in
+            let b = Rs_behavior.Trace_store.packed_branch w in
+            let e = Array.unsafe_get exec b in
+            Array.unsafe_set exec b (e + 1);
+            update b (Rs_behavior.Trace_store.packed_taken w) e
+          done);
+      exec
+    | None ->
+      Rs_behavior.Stream.iter_raw pop config (fun ~branch ~taken ~exec_index ~instr:_ ->
+          update branch taken exec_index)
   in
   (* Branches that never reached a checkpoint: the "window" is their whole
      life, so a window-trained policy sees exactly their full counts. *)

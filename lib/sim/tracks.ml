@@ -1,10 +1,13 @@
 (* Shared replay-or-generate front door: both collectors consume plain
-   integers — an explicit prerecorded trace, the [Trace_store.auto]
-   memo, or (with auto-replay off) the raw generator, decoded without
-   per-event boxing in every case. *)
+   integers — decoded from an explicit prerecorded trace, or straight
+   off the raw generator when none is given — with no per-event boxing
+   either way. *)
 module Replay = struct
   let iter ?trace ~caller pop config f =
-    let run_trace tr =
+    match trace with
+    | Some tr ->
+      if not (Rs_behavior.Trace_store.matches tr pop config) then
+        invalid_arg (caller ^ ": trace was recorded for a different (population, config)");
       let exec = Array.make (Rs_behavior.Population.size pop) 0 in
       let instr = ref 0 in
       Rs_behavior.Trace_store.iter_packed tr (fun chunk len ->
@@ -17,16 +20,7 @@ module Replay = struct
             f ~branch:b ~taken:(Rs_behavior.Trace_store.packed_taken w) ~exec_index:e
               ~instr:!instr
           done)
-    in
-    match trace with
-    | Some tr ->
-      if not (Rs_behavior.Trace_store.matches tr pop config) then
-        invalid_arg (caller ^ ": trace was recorded for a different (population, config)");
-      run_trace tr
-    | None -> (
-      match Rs_behavior.Trace_store.auto pop config with
-      | Some tr -> run_trace tr
-      | None -> ignore (Rs_behavior.Stream.iter_raw pop config f : int array))
+    | None -> ignore (Rs_behavior.Stream.iter_raw pop config f : int array)
 end
 
 module Exec_blocks = struct

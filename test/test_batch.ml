@@ -513,10 +513,10 @@ let qcheck_interleave_batch_equals_scalar =
       let check (_, _, tr) = paths_agree tr params (TS.n_branches tr) in
       check m.shared && check m.split)
 
-(* Engine.run: every path — hookless batched (explicit trace and the
-   auto memo), raw observer, boxed observer — produces identical
-   results, and the raw observer sees the boxed observer's exact
-   sequence. *)
+(* Engine.run: every path — hookless batched off an explicit trace,
+   hookless live generation, raw observer, boxed observer — produces
+   identical results, and the raw observer sees the boxed observer's
+   exact sequence. *)
 let test_engine_paths_agree () =
   let n = 9 in
   let pop = mk_pop ~n 7 in
@@ -548,19 +548,10 @@ let test_engine_paths_agree () =
       ~trace:tr pop cfg params
   in
   let r_batched = Rs_sim.Engine.run ~trace:tr pop cfg params in
-  let r_auto = Rs_sim.Engine.run pop cfg params in
-  let capacity = TS.capacity_bytes () in
-  let r_noauto =
-    Fun.protect
-      ~finally:(fun () -> TS.set_capacity_bytes capacity)
-      (fun () ->
-        TS.set_capacity_bytes 0;
-        Rs_sim.Engine.run pop cfg params)
-  in
+  let r_live = Rs_sim.Engine.run pop cfg params in
   Alcotest.(check bool) "raw == boxed result" true (summary r_raw = summary r_boxed);
   Alcotest.(check bool) "batched == boxed result" true (summary r_batched = summary r_boxed);
-  Alcotest.(check bool) "auto-memo == boxed result" true (summary r_auto = summary r_boxed);
-  Alcotest.(check bool) "auto-off == boxed result" true (summary r_noauto = summary r_boxed);
+  Alcotest.(check bool) "live == boxed result" true (summary r_live = summary r_boxed);
   Alcotest.(check bool) "raw observer sees boxed sequence" true (!raw_seq = !boxed_seq);
   Alcotest.(check bool) "observer sequence nonempty" true (!boxed_seq <> [])
 
@@ -581,6 +572,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_adversary_batch_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_mistrain_batch_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_interleave_batch_equals_scalar;
-    Alcotest.test_case "engine paths agree (batched/raw/boxed/auto)" `Quick
+    Alcotest.test_case "engine paths agree (batched/raw/boxed/live)" `Quick
       test_engine_paths_agree;
   ]

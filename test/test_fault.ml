@@ -194,6 +194,22 @@ let test_stress_jobs4 () =
   Alcotest.(check string) "no deadlock, no stale results, byte-identical output" clean faulted;
   E.Cache.reset ()
 
+(* Figure9 asks the cache for its vortex trace outside any memo body, so
+   the recording itself must be retried: with max_raises=1 a failed
+   trace_store.record is retried once and succeeds, and the output is
+   byte-identical to a fault-free run. *)
+let test_trace_record_retry () =
+  let render () = E.Figure9.render (E.Figure9.run (ctx 1)) in
+  E.Cache.reset ();
+  let clean = render () in
+  E.Cache.reset ();
+  Fun.protect ~finally:E.Cache.reset @@ fun () ->
+  with_faults "seed=1,rate=0.8,max_raises=1,sites=trace_store" @@ fun () ->
+  let before = Fault.injected () in
+  let faulted = render () in
+  Alcotest.(check bool) "faults were injected" true (Fault.injected () > before);
+  Alcotest.(check string) "figure9 byte-identical once the recording is retried" clean faulted
+
 (* --- distiller pass faults -------------------------------------------------- *)
 
 module D = Rs_distill.Distill
@@ -348,6 +364,7 @@ let suite =
     Alcotest.test_case "distill.pass bounded retry" `Quick test_distill_pass_bounded_retry;
     Alcotest.test_case "retry byte-identity (jobs=1)" `Slow test_retry_byte_identity;
     Alcotest.test_case "fault stress (jobs=4)" `Slow test_stress_jobs4;
+    Alcotest.test_case "trace_store.record retried (figure9)" `Slow test_trace_record_retry;
     Alcotest.test_case "closed pool raises" `Quick test_pool_closed_raises;
     Alcotest.test_case "deferred close" `Quick test_pool_deferred_close;
     Alcotest.test_case "worker-start fault degrades" `Quick test_pool_worker_start_fault;

@@ -143,10 +143,29 @@ let test_rejects_decreasing_instr () =
           : TS.t))
 
 (* Figure5 rendered through trace replay vs live regeneration.  A zero
-   trace-store capacity turns off both the cache's recorded traces and
-   the engine's automatic replay, so the live arm generates every stream
-   (the store records nothing); the replayed arm records each stream once.
-   The sweep's output must be byte-identical either way. *)
+   trace-store capacity makes the cache hand out no traces, so the live
+   arm generates every stream (the store records nothing); the replayed
+   arm records each stream once.  The sweep's output must be
+   byte-identical either way. *)
+(* Fabricated traces are shared only through the LRU: with room for one
+   trace, A then B evicts A, so asking for A again records it afresh.  A
+   memo pinning every fabricated trace would serve the second A from
+   memory and count two misses, not three. *)
+let test_fabricated_not_pinned () =
+  let pop = mk_pop ~n:6 5 in
+  let cfg = { Stream.seed = 13; instr_per_branch = 4.0; length = 4_000 } in
+  let sz = TS.bytes (TS.record pop cfg) in
+  Fun.protect ~finally:Rs_experiments.Cache.reset (fun () ->
+      with_capacity sz (fun () ->
+          Rs_experiments.Cache.reset ();
+          List.iter
+            (fun key -> ignore (Rs_experiments.Cache.fabricated_trace ~key pop cfg : TS.t))
+            [ "A"; "B"; "A" ];
+          let s = TS.stats () in
+          Alcotest.(check int) "every request recorded" 3 s.misses;
+          Alcotest.(check int) "no hits" 0 s.hits;
+          Alcotest.(check int) "one trace resident" 1 s.entries))
+
 let test_figure5_replay_byte_identity () =
   let ctx = Rs_experiments.Context.create ~seed:7 ~scale:0.02 ~tau:10 ~jobs:1 () in
   let render () =
@@ -177,5 +196,6 @@ let suite =
     Alcotest.test_case "capacity zero disables caching" `Quick test_capacity_zero_disables;
     Alcotest.test_case "record names stream guards" `Quick test_record_names_stream_guards;
     Alcotest.test_case "rejects decreasing instr" `Quick test_rejects_decreasing_instr;
+    Alcotest.test_case "fabricated traces not pinned" `Quick test_fabricated_not_pinned;
     Alcotest.test_case "figure5 byte-identity" `Slow test_figure5_replay_byte_identity;
   ]

@@ -219,20 +219,9 @@ let bench_parallel_all () =
   in
   List.length outs
 
-let bench_steal_latency () =
-  (* scheduler hand-off: post a thunk and spin until a sleeping worker
-     wakes and steals it — wakeup + steal latency, not task cost *)
-  let pool = Lazy.force bench_pool in
-  let flag = Atomic.make false in
-  Rs_util.Pool.post pool (fun () -> Atomic.set flag true);
-  while not (Atomic.get flag) do
-    Domain.cpu_relax ()
-  done;
-  1
-
-let bench_split_overhead () =
-  (* pure scheduling overhead: trivial elements through the lazy binary
-     splitter (every split forks a stealable right half) *)
+let bench_map_range_overhead () =
+  (* pure scheduling overhead: trivial elements, one chunk each, claimed
+     by the caller and the queued helper tasks *)
   let pool = Lazy.force bench_pool in
   let out = Rs_util.Pool.map_range pool ~lo:0 ~hi:256 Fun.id in
   out.(255)
@@ -257,8 +246,7 @@ let kernels : (string * (unit -> int)) list =
     ("runner/pool-map", bench_pool_map);
     ("runner/cached-profile", bench_cached_profile);
     ("runner/parallel-all", bench_parallel_all);
-    ("scheduler/steal-latency", bench_steal_latency);
-    ("scheduler/split-overhead", bench_split_overhead);
+    ("scheduler/map-range-overhead", bench_map_range_overhead);
   ]
 
 (* The sampling budget per kernel, overridable so CI smoke runs can keep
@@ -429,7 +417,7 @@ let run_json file =
   let jobs1_s, jobs1_out = time_figure5_jobs 1 in
   let jobs8_s, jobs8_out = time_figure5_jobs 8 in
   (* scheduler counters, read after the jobs-8 sweep so a parallel run's
-     steal/split activity is on record *)
+     helper activity is on record *)
   let pstats = Rs_util.Pool.stats () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";

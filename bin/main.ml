@@ -44,8 +44,7 @@ let ctx_term =
   in
   let pool_stats =
     let doc =
-      "Print work-stealing scheduler counters (tasks, steals, splits) to stderr after the \
-       run."
+      "Print domain-pool counters (tasks, steals, splits) to stderr after the run."
     in
     Arg.(value & flag & info [ "pool-stats" ] ~doc)
   in

@@ -216,7 +216,7 @@ if command -v jq >/dev/null 2>&1; then
            '[.kernels[] | select(.name as $n | $names | index($n) != null)]' "$BENCH_JSON" >&2
          exit 1; }
   # Scheduler counters: a jobs-8 figure5 sweep ran inside the harness, so
-  # the work-stealing pool must have stolen sub-ranges.  The jobs-8
+  # queued helper tasks must have run chunks on worker domains.  The jobs-8
   # output must be byte-identical to jobs-1; the >= 2x wall-clock gate
   # only applies with enough cores to parallelize on.
   jq -e '.pool.steals > 0' "$BENCH_JSON" >/dev/null \
@@ -236,11 +236,12 @@ else
 fi
 rm -f "$BENCH_JSON"
 
-# Scheduler stage: the work-stealing pool may only change wall-clock,
-# never output.  `rspec all` must be byte-identical between --jobs 1 and
-# --jobs 8 at two seeds.  The jobs-8 runs print their scheduler counters
-# so the CI log records the steal/split activity behind the identity.
-echo "== scheduler (rspec all: jobs 1 vs 8, two seeds) =="
+# Scheduler stage: the domain pool may only change wall-clock, never
+# output.  `rspec all` must be byte-identical between --jobs 1 and
+# --jobs 8 at two seeds, and between --jobs 1 and --jobs 2 (the width of
+# the benchmark machine) at seed 3.  The jobs-8 runs print their pool
+# counters so the CI log records the helper activity behind the identity.
+echo "== scheduler (rspec all: jobs 1 vs 8 at two seeds, jobs 1 vs 2) =="
 SCHED_DIR=$(mktemp -d /tmp/rs_sched.XXXXXX)
 for seed in 3 11; do
   echo "-- seed=$seed --"
@@ -251,6 +252,12 @@ for seed in 3 11; do
   cmp "$SCHED_DIR/j1.txt" "$SCHED_DIR/j8.txt" \
     || { echo "rspec all differs between --jobs 1 and --jobs 8 (seed=$seed)" >&2; exit 1; }
   grep '^pool:' "$SCHED_DIR/j8.err" || true
+  if [ "$seed" = 3 ]; then
+    timeout 900 "$RSPEC" all --scale 0.02 --tau 10 --seed "$seed" --jobs 2 \
+      > "$SCHED_DIR/j2.txt"
+    cmp "$SCHED_DIR/j1.txt" "$SCHED_DIR/j2.txt" \
+      || { echo "rspec all differs between --jobs 1 and --jobs 2 (seed=$seed)" >&2; exit 1; }
+  fi
   echo "scheduler identity ok at seed=$seed"
 done
 rm -rf "$SCHED_DIR"

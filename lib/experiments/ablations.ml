@@ -77,7 +77,7 @@ let run ctx =
      the sweeps all the way down to (configuration, benchmark) cells —
      config-major, so [--jobs 1] runs the cache operations in exactly
      the order the old nested loops did — fan the cells out over the
-     pool as stealable tasks, then aggregate per configuration and
+     pool one cell per chunk, then aggregate per configuration and
      slice the ordered results back into their sweeps. *)
   let specs = sweep_specs () in
   let flat = Array.of_list (List.concat_map snd specs) in

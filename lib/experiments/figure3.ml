@@ -15,8 +15,9 @@ let run ?(benchmark = "gap") ?(count = 5) ctx =
      from the shared cache (one collection serves figures 2, 3 and 5). *)
   let profile = Cache.profile ~windows:[| 20_000 |] ctx bm ~input:Ref in
   (* The scan is read-only over the collected profile, so it splits into
-     stealable chunks; folding the verdict array front-to-back rebuilds
-     the exact candidate list the old sequential loop accumulated. *)
+     256-branch chunks any executor may claim; folding the verdict array
+     front-to-back rebuilds the exact candidate list the old sequential
+     loop accumulated. *)
   let verdicts =
     Rs_util.Pool.map_range (Context.pool ctx) ~cutoff:256 ~lo:0
       ~hi:(Profile.n_branches profile)

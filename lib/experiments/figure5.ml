@@ -24,7 +24,7 @@ let run_benchmark ctx bm =
       incorrect = Pareto.incorrect_rate profile st;
     }
   in
-  (* Nested stealable sub-sweep: each benchmark's variant runs split
+  (* Nested sub-sweep: each benchmark's variant runs split
      across the pool, so one slow benchmark no longer serializes its
      seven simulations behind a single task. *)
   let variants = Array.of_list V.all in

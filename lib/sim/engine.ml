@@ -139,8 +139,7 @@ let run ?(label = "") ?observer ?observer_raw ?on_transition ?trace pop config p
         b_gaps = gaps;
       }
     in
-    Rs_behavior.Trace_store.fold_packed_chunks tr ~init:() (fun () chunk len ->
-        run_chunk b chunk len);
+    Rs_behavior.Trace_store.iter_packed tr (run_chunk b);
     correct := b.b_correct;
     incorrect := b.b_incorrect;
     last_misspec := b.b_last_misspec

@@ -1,25 +1,21 @@
-(* Work-stealing domain pool.
+(* Self-scheduling domain pool.
 
-   Topology: one deque ({!Deque}) per slot — slot 0 belongs to the
-   external caller currently mapping, slots 1..jobs-1 to the worker
-   domains — plus a shared mutex-guarded inbox for [post]ed thunks and
-   for forks from domains that hold no slot.  An executor looks for work
-   in order: own deque bottom (LIFO, cache-warm), inbox, then a steal
-   scan over everyone else's deque top (FIFO, so a thief grabs the
-   oldest — i.e. biggest — pending sub-range).  [map_range] splits a
-   sweep lazily: fork the right half onto the local deque, descend into
-   the left, stop splitting at [cutoff] elements; an idle domain steals
-   the biggest pending half and splits it further, so a sweep balances
-   itself without any central division of labour.
+   Topology: [jobs - 1] worker domains and one mutex-guarded queue of
+   helper tasks.  A map splits its range into [ceil (n / cutoff)] chunks
+   and hands them out through an atomic index: the caller claims chunks
+   first, and at most [jobs - 1] helper tasks, pushed onto the queue,
+   claim from the same index on whichever executor dequeues them.  A
+   helper that finds every chunk claimed is a no-op, so a stale helper
+   costs one dequeue.
 
-   "Help while you wait" is preserved from the original pool: a caller
-   (or nested caller) blocked on its own results runs whatever task it
-   can find instead of sleeping, so some domain is always executing a
-   task and nested maps on one pool cannot deadlock.  Sleeping is a
-   two-phase check: a would-be sleeper registers in [sleepers] and
-   re-checks every source under the pool mutex before waiting, and
-   producers broadcast whenever [sleepers] is non-zero — the atomic
-   ordering between the two makes lost wakeups impossible.
+   "Help while you wait": a caller whose chunks are all claimed runs
+   queued helper tasks (of any map, nested ones included) until its own
+   map settles, and sleeps on the pool's condition only while the queue
+   is empty.  Every claimed chunk is being run by some executor, so
+   nested maps on one pool cannot deadlock.  Sleepers re-check under the
+   pool mutex before waiting, and every producer (a push, the chunk that
+   settles a map, shutdown) broadcasts under the same mutex, so no
+   wakeup is lost.
 
    Determinism contract: element results are joined by index, so a map
    is equivalent to [Array.map] for pure element functions regardless of
@@ -28,25 +24,16 @@
 
    Lifecycle: a pool is live from [create] until [close].  [close] while
    maps are in flight retires the pool and the last map's epilogue
-   performs the shutdown.  After the workers are joined, the closing
-   caller drains any tasks still queued (FIFO from the inbox first, then
-   leftover deque entries), so fire-and-forget [post]s are never
-   silently dropped — the fix matters on [jobs = 1] pools, which have no
-   workers to drain the inbox. *)
+   performs the shutdown.  Helpers left in the queue at shutdown belong
+   to settled maps, so the workers exit without running them. *)
 
 module Metrics = Rs_obs.Metrics
 
-type task = unit -> unit
-
 type t = {
-  id : int;
   jobs : int;
-  mutex : Mutex.t; (* guards inbox, live, active, retired *)
+  mutex : Mutex.t; (* guards queue, live, active, retired *)
   wake : Condition.t;
-  inbox : task Queue.t;
-  deques : task Deque.t array; (* length jobs; slot 0 = mapping caller *)
-  slot0 : int Atomic.t; (* domain id holding slot 0, or -1 *)
-  sleepers : int Atomic.t;
+  queue : (unit -> unit) Queue.t; (* helper tasks *)
   mutable live : bool;
   mutable active : int; (* in-flight map_range / map_ordered / run_all *)
   mutable retired : bool; (* close requested while active > 0 *)
@@ -66,112 +53,36 @@ let g_jobs = Metrics.gauge "pool.jobs"
    dependency graph (it needs Prng) and so cannot be called directly. *)
 let fault_hook : (site:string -> key:string -> unit) ref = ref (fun ~site:_ ~key:_ -> ())
 
-let pool_ids = Atomic.make 0
+let broadcast t =
+  Mutex.lock t.mutex;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mutex
 
-(* Which slot (deque index) this domain owns, per pool id.  Workers
-   register their slot at startup; an external caller claims slot 0 for
-   the duration of its outermost map. *)
-let slots_key : (int * int) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let my_slot t = List.assoc_opt t.id !(Domain.DLS.get slots_key)
-
-(* Every executor — worker domains, helping callers, the close-time
-   drain — runs tasks through this guard, which traps any escaping
-   exception so one raising [post]ed thunk can neither kill a worker
-   domain nor surface inside an unrelated caller's map.  Map tasks trap
-   their own element errors, so the guard counter only ever fires for
-   posts. *)
-let exec task = try task () with _ -> Metrics.incr m_worker_failures
-
-let wake_if_sleepers t =
-  if Atomic.get t.sleepers > 0 then begin
-    Mutex.lock t.mutex;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex
-  end
-
-let push_task t task =
-  (match my_slot t with
-  | Some s -> Deque.push t.deques.(s) task
-  | None ->
-    Mutex.lock t.mutex;
-    Queue.add task t.inbox;
-    Mutex.unlock t.mutex);
-  wake_if_sleepers t
-
-let steal_scan t ~slot =
-  let n = Array.length t.deques in
-  let start = if slot >= 0 then (slot + 1) mod n else 0 in
-  let rec go k =
-    if k >= n then None
-    else
-      let i = (start + k) mod n in
-      if i = slot then go (k + 1)
-      else
-        match Deque.steal t.deques.(i) with
-        | Some _ as r ->
-          Metrics.incr m_steals;
-          r
-        | None -> go (k + 1)
+(* Run queued helper tasks until [stop ()] holds, sleeping while the
+   queue is empty.  [stop] is evaluated under the pool mutex.  Helper
+   tasks never raise: element errors are trapped per element. *)
+let help_until t ~stop =
+  Mutex.lock t.mutex;
+  let rec loop () =
+    if not (stop ()) then begin
+      (match Queue.take_opt t.queue with
+      | Some task ->
+        Mutex.unlock t.mutex;
+        task ();
+        Mutex.lock t.mutex
+      | None -> Condition.wait t.wake t.mutex);
+      loop ()
+    end
   in
-  go 0
-
-let try_find t ~slot =
-  match if slot >= 0 then Deque.pop t.deques.(slot) else None with
-  | Some _ as r -> r
-  | None -> (
-    Mutex.lock t.mutex;
-    let inb = Queue.take_opt t.inbox in
-    Mutex.unlock t.mutex;
-    match inb with Some _ -> inb | None -> steal_scan t ~slot)
-
-(* Find a task, or sleep until one appears; returns [None] only once
-   [stop ()] holds.  The sleeper registers before its final re-check and
-   producers test [sleepers] after publishing, so one of the two always
-   observes the other — no lost wakeups. *)
-let acquire t ~slot ~stop =
-  match try_find t ~slot with
-  | Some _ as r -> r
-  | None ->
-    Mutex.lock t.mutex;
-    Atomic.incr t.sleepers;
-    let rec wait_loop () =
-      if stop () then None
-      else
-        (* own deque needs no re-check: only its owner pushes to it *)
-        match
-          match Queue.take_opt t.inbox with
-          | Some _ as r -> r
-          | None -> steal_scan t ~slot
-        with
-        | Some _ as r -> r
-        | None ->
-          Condition.wait t.wake t.mutex;
-          wait_loop ()
-    in
-    let r = wait_loop () in
-    Atomic.decr t.sleepers;
-    Mutex.unlock t.mutex;
-    r
+  loop ();
+  Mutex.unlock t.mutex
 
 let worker_main t i =
-  let slot = i + 1 in
-  let slots = Domain.DLS.get slots_key in
-  slots := (t.id, slot) :: !slots;
   (* An injected startup failure kills just this worker: the pool
-     degrades to fewer helpers, and the caller-helps rule keeps every
-     map completing. *)
+     degrades to fewer helpers, and callers claiming their own chunks
+     keep every map completing. *)
   match !fault_hook ~site:"pool.worker_start" ~key:(string_of_int i) with
-  | () ->
-    let rec loop () =
-      (* [stop] is only consulted once nothing is left to run, so a
-         retiring pool drains its queues before the workers exit *)
-      match acquire t ~slot ~stop:(fun () -> not t.live) with
-      | Some task ->
-        exec task;
-        loop ()
-      | None -> ()
-    in
-    loop ()
+  | () -> help_until t ~stop:(fun () -> not t.live)
   | exception _ -> Metrics.incr m_worker_failures
 
 let create ?jobs () =
@@ -180,14 +91,10 @@ let create ?jobs () =
   in
   let t =
     {
-      id = Atomic.fetch_and_add pool_ids 1;
       jobs;
       mutex = Mutex.create ();
       wake = Condition.create ();
-      inbox = Queue.create ();
-      deques = Array.init jobs (fun _ -> Deque.create ());
-      slot0 = Atomic.make (-1);
-      sleepers = Atomic.make 0;
+      queue = Queue.create ();
       live = true;
       active = 0;
       retired = false;
@@ -200,45 +107,25 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
-let join_workers t =
-  (* Never called with [t.mutex] held (workers need it to observe the
-     shutdown), and never self-joining: a worker performing a deferred
-     shutdown skips its own handle and exits on its own once the queues
-     drain. *)
+(* Stop the workers and join them.  Never called with [t.mutex] held
+   (workers need it to observe the shutdown), and never self-joining. *)
+let shutdown t =
+  Mutex.lock t.mutex;
+  t.live <- false;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.mutex;
   let self = Domain.self () in
   List.iter (fun d -> if Domain.get_id d <> self then Domain.join d) t.workers;
   t.workers <- []
 
-(* Run whatever is still queued after shutdown, in the closing caller:
-   posted thunks first (FIFO, submission order), then any leftover deque
-   entries.  This is what guarantees [post] on a [jobs = 1] pool — which
-   has no worker to drain the inbox — still runs every thunk by [close]
-   at the latest. *)
-let drain_after_shutdown t =
-  let rec go () =
-    match try_find t ~slot:(-1) with
-    | Some task ->
-      exec task;
-      go ()
-    | None -> ()
-  in
-  go ()
-
 let close t =
   Mutex.lock t.mutex;
-  if t.active > 0 then begin
-    (* In-flight maps still own the pool: retire it and let the last
-       map's epilogue perform the shutdown. *)
-    t.retired <- true;
-    Mutex.unlock t.mutex
-  end
-  else begin
-    t.live <- false;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex;
-    join_workers t;
-    drain_after_shutdown t
-  end
+  (* In-flight maps still own the pool: retire it and let the last
+     map's epilogue perform the shutdown. *)
+  let busy = t.active > 0 in
+  if busy then t.retired <- true;
+  Mutex.unlock t.mutex;
+  if not busy then shutdown t
 
 let enter_map t =
   Mutex.lock t.mutex;
@@ -253,149 +140,94 @@ let exit_map t =
   Mutex.lock t.mutex;
   t.active <- t.active - 1;
   let shutdown_now = t.retired && t.active = 0 in
-  if shutdown_now then begin
-    t.retired <- false;
-    t.live <- false;
-    Condition.broadcast t.wake
-  end;
+  if shutdown_now then t.retired <- false;
   Mutex.unlock t.mutex;
-  if shutdown_now then begin
-    join_workers t;
-    drain_after_shutdown t
-  end
+  if shutdown_now then shutdown t
 
-(* Slot 0 is reserved for whichever external domain is currently inside
-   a map; nested maps reuse the claim, and a second concurrent external
-   caller simply runs slotless (its forks go through the inbox). *)
-let claim_slot t =
-  if t.jobs <= 1 then false
-  else
-    match my_slot t with
-    | Some _ -> false
-    | None ->
-      if Atomic.compare_and_set t.slot0 (-1) (Domain.self () :> int) then begin
-        let slots = Domain.DLS.get slots_key in
-        slots := (t.id, 0) :: !slots;
-        true
-      end
-      else false
+let parallel_map (type b) t ~cutoff ~lo n (f : int -> b) : b array =
+  let results : b option array = Array.make n None in
+  let errors : (exn * Printexc.raw_backtrace) option array = Array.make n None in
+  let chunks = (n + cutoff - 1) / cutoff in
+  let next = Atomic.make 0 in
+  let pending = Atomic.make chunks in
+  let run_chunk c =
+    for i = c * cutoff to min n ((c + 1) * cutoff) - 1 do
+      try results.(i) <- Some (f (lo + i))
+      with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
+    done;
+    (* the chunk that settles the map wakes its caller *)
+    if Atomic.fetch_and_add pending (-1) = 1 then broadcast t
+  in
+  let rec claim ~helper =
+    let c = Atomic.fetch_and_add next 1 in
+    if c < chunks then begin
+      if helper then Metrics.incr m_steals;
+      run_chunk c;
+      claim ~helper
+    end
+  in
+  let helpers = min (t.jobs - 1) (chunks - 1) in
+  if helpers > 0 then begin
+    let task () = claim ~helper:true in
+    Mutex.lock t.mutex;
+    for _ = 1 to helpers do
+      Queue.add task t.queue
+    done;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.mutex;
+    Metrics.add m_splits helpers
+  end;
+  claim ~helper:false;
+  help_until t ~stop:(fun () -> Atomic.get pending = 0);
+  (* Re-raise the lowest-indexed failure with its original backtrace;
+     further failures cannot also propagate, so they are surfaced
+     through the [pool.suppressed_failures] counter instead of being
+     silently discarded. *)
+  let first = ref None in
+  let suppressed = ref 0 in
+  Array.iter
+    (function
+      | Some eb -> if Option.is_none !first then first := Some eb else incr suppressed
+      | None -> ())
+    errors;
+  (match !first with
+  | Some (e, bt) ->
+    if !suppressed > 0 then Metrics.add m_suppressed_failures !suppressed;
+    Printexc.raise_with_backtrace e bt
+  | None -> ());
+  Array.map (function Some r -> r | None -> assert false) results
 
-let release_slot t =
-  let slots = Domain.DLS.get slots_key in
-  slots := List.filter (fun (id, _) -> id <> t.id) !slots;
-  Atomic.set t.slot0 (-1)
-
-let map_range (type b) t ?(cutoff = 1) ~lo ~hi (f : int -> b) : b array =
+let map_range t ?(cutoff = 1) ~lo ~hi f =
   if cutoff < 1 then invalid_arg "Pool.map_range: cutoff must be positive";
   let n = hi - lo in
   if n <= 0 then [||]
   else begin
     enter_map t;
     Fun.protect ~finally:(fun () -> exit_map t) @@ fun () ->
-    if t.jobs = 1 || n = 1 then begin
-      (* strictly left-to-right in the calling domain *)
-      let first = f lo in
-      let out = Array.make n first in
-      for i = 1 to n - 1 do
-        out.(i) <- f (lo + i)
-      done;
-      out
-    end
-    else begin
-      let results : b option array = Array.make n None in
-      let errors : (exn * Printexc.raw_backtrace) option array = Array.make n None in
-      let remaining = Atomic.make n in
-      let claimed = claim_slot t in
-      Fun.protect ~finally:(fun () -> if claimed then release_slot t) @@ fun () ->
-      let leaf l h =
-        for i = l to h - 1 do
-          Metrics.incr m_tasks;
-          try results.(i - lo) <- Some (f i)
-          with e -> errors.(i - lo) <- Some (e, Printexc.get_raw_backtrace ())
-        done;
-        ignore (Atomic.fetch_and_add remaining (l - h) : int);
-        wake_if_sleepers t
-      in
-      (* Lazy binary splitting: fork the right half onto the local deque
-         (where a thief can find it), descend into the left. *)
-      let rec go l h =
-        if h - l <= cutoff then leaf l h
-        else begin
-          let mid = l + ((h - l) / 2) in
-          Metrics.incr m_splits;
-          push_task t (fun () -> go mid h);
-          go l mid
-        end
-      in
-      go lo hi;
-      (* the caller is the pool's jobs-th executor: help until every
-         element of this map has settled *)
-      let slot = match my_slot t with Some s -> s | None -> -1 in
-      let stop () = Atomic.get remaining = 0 in
-      let rec help () =
-        if not (stop ()) then begin
-          (match acquire t ~slot ~stop with Some task -> exec task | None -> ());
-          help ()
-        end
-      in
-      help ();
-      (* Re-raise the lowest-indexed failure with its original backtrace;
-         further failures cannot also propagate, so they are surfaced
-         through the [pool.suppressed_failures] counter instead of being
-         silently discarded. *)
-      let first = ref None in
-      let suppressed = ref 0 in
-      Array.iter
-        (function
-          | Some eb -> if Option.is_none !first then first := Some eb else incr suppressed
-          | None -> ())
-        errors;
-      (match !first with
-      | Some (e, bt) ->
-        if !suppressed > 0 then Metrics.add m_suppressed_failures !suppressed;
-        Printexc.raise_with_backtrace e bt
-      | None -> ());
-      Array.map (function Some r -> r | None -> assert false) results
-    end
+    Metrics.add m_tasks n;
+    (* strictly left-to-right in the calling domain *)
+    if t.jobs = 1 || n = 1 then Array.init n (fun i -> f (lo + i))
+    else parallel_map t ~cutoff ~lo n f
   end
-
-let parallel_for t ?cutoff ~lo ~hi f =
-  ignore (map_range t ?cutoff ~lo ~hi f : unit array)
 
 let map_ordered t f arr =
-  let n = Array.length arr in
-  if t.jobs = 1 || n <= 1 then begin
-    enter_map t;
-    Fun.protect ~finally:(fun () -> exit_map t) @@ fun () -> Array.map f arr
-  end
-  else
-    map_range t ~cutoff:1 ~lo:0 ~hi:n (fun i ->
-        let traced = Rs_obs.Trace.enabled () in
-        let dom = (Domain.self () :> int) in
-        if traced then
-          Rs_obs.Trace.emit "task" [ S ("event", "start"); I ("domain", dom); I ("index", i) ];
-        let r =
-          try
-            !fault_hook ~site:"pool.task" ~key:(string_of_int i);
-            Ok (f arr.(i))
-          with e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        if traced then
-          Rs_obs.Trace.emit "task" [ S ("event", "stop"); I ("domain", dom); I ("index", i) ];
-        match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+  map_range t ~lo:0 ~hi:(Array.length arr) (fun i ->
+      let traced = Rs_obs.Trace.enabled () in
+      let dom = (Domain.self () :> int) in
+      if traced then
+        Rs_obs.Trace.emit "task" [ S ("event", "start"); I ("domain", dom); I ("index", i) ];
+      let r =
+        try
+          !fault_hook ~site:"pool.task" ~key:(string_of_int i);
+          Ok (f arr.(i))
+        with e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      if traced then
+        Rs_obs.Trace.emit "task" [ S ("event", "stop"); I ("domain", dom); I ("index", i) ];
+      match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 let run_all t thunks =
   Array.to_list (map_ordered t (fun thunk -> thunk ()) (Array.of_list thunks))
-
-let post t thunk =
-  Mutex.lock t.mutex;
-  if not t.live then begin
-    Mutex.unlock t.mutex;
-    raise Closed
-  end;
-  Queue.add thunk t.inbox;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.mutex
 
 (* --- scheduler counters ----------------------------------------------- *)
 

@@ -441,7 +441,7 @@ let scalar_run tr params n =
 let batch_run tr params n =
   let controller = Reactive.create ~n_branches:n params in
   let b = Rs_sim.Engine.batch controller in
-  TS.fold_packed_chunks tr ~init:() (fun () chunk len -> Rs_sim.Engine.run_chunk b chunk len);
+  TS.iter_packed tr (Rs_sim.Engine.run_chunk b);
   ( b.Rs_sim.Engine.b_correct,
     b.b_incorrect,
     Rs_util.Running_stats.count b.b_gaps,

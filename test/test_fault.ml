@@ -278,8 +278,8 @@ let test_pool_worker_start_fault () =
   with_faults "seed=2,rate=1.0,sites=pool.worker_start" @@ fun () ->
   let p = Pool.create ~jobs:4 () in
   Fun.protect ~finally:(fun () -> Pool.close p) @@ fun () ->
-  (* every worker dies at startup; the caller-helps rule still completes
-     the map, just without parallelism *)
+  (* every worker dies at startup; the caller claims every chunk itself
+     and still completes the map, just without parallelism *)
   let out = Pool.map_ordered p (fun i -> i * 2) (Array.init 32 Fun.id) in
   Alcotest.(check (array int)) "degraded pool still completes"
     (Array.init 32 (fun i -> i * 2))
@@ -297,6 +297,18 @@ let test_pool_task_fault_propagates () =
   Fault.disable ();
   let out = Pool.map_ordered p (fun i -> i + 1) (Array.init 8 Fun.id) in
   Alcotest.(check int) "pool usable afterwards" 8 out.(7)
+
+(* jobs = 1 takes the same per-element path: the pool.task site fires
+   in the calling domain too. *)
+let test_pool_task_fault_jobs1 () =
+  with_faults "sites=pool.task,rate=1.0" @@ fun () ->
+  let p = Pool.create ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Pool.close p) @@ fun () ->
+  match Pool.map_ordered p Fun.id (Array.init 4 Fun.id) with
+  | _ -> Alcotest.fail "expected an injected task fault at jobs=1"
+  | exception Fault.Injected { site; key; _ } ->
+    Alcotest.(check string) "site" "pool.task" site;
+    Alcotest.(check string) "first element fails first" "0" key
 
 (* --- trace sink failure semantics ------------------------------------------ *)
 
@@ -369,6 +381,7 @@ let suite =
     Alcotest.test_case "deferred close" `Quick test_pool_deferred_close;
     Alcotest.test_case "worker-start fault degrades" `Quick test_pool_worker_start_fault;
     Alcotest.test_case "task fault propagates" `Quick test_pool_task_fault_propagates;
+    Alcotest.test_case "task fault at jobs=1" `Quick test_pool_task_fault_jobs1;
     Alcotest.test_case "to_file error" `Quick test_trace_to_file_error;
     Alcotest.test_case "write faults drop whole lines" `Quick
       test_trace_write_faults_drop_whole_lines;

@@ -140,27 +140,6 @@ let test_backtrace_preserved () =
       true
       (contains bt "test_pool" || not (Printexc.backtrace_status ()))
 
-(* A posted fire-and-forget thunk that raises must be trapped and
-   counted, not kill the worker domain that ran it. *)
-let test_post_survives_raising_thunk () =
-  let c = Rs_obs.Metrics.counter "pool.worker_failures" in
-  let before = Rs_obs.Metrics.counter_value c in
-  let pool = Pool.create ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Pool.close pool) @@ fun () ->
-  let flag = Atomic.make false in
-  Pool.post pool (fun () -> failwith "posted boom");
-  Pool.post pool (fun () -> Atomic.set flag true);
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  Alcotest.(check bool) "worker survived and ran the next thunk" true (Atomic.get flag);
-  Alcotest.(check bool) "failure counted in pool.worker_failures" true
-    (Rs_obs.Metrics.counter_value c - before >= 1);
-  (* the pool is still fully usable for ordered maps *)
-  let out = Pool.map_ordered pool (fun i -> i * 2) (Array.init 8 (fun i -> i)) in
-  Alcotest.(check int) "map after posted failure" 14 out.(7)
-
 let suite =
   [
     Alcotest.test_case "ordering under contention" `Quick test_ordering;
@@ -170,5 +149,4 @@ let suite =
     Alcotest.test_case "run_all" `Quick test_run_all;
     Alcotest.test_case "suppressed failures counted" `Quick test_suppressed_failures_counted;
     Alcotest.test_case "backtrace preserved" `Quick test_backtrace_preserved;
-    Alcotest.test_case "post survives raising thunk" `Quick test_post_survives_raising_thunk;
   ]
